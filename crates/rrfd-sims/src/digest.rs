@@ -36,6 +36,15 @@ impl DigestWriter {
         DigestWriter::default()
     }
 
+    /// An empty writer with room for `capacity` bytes, for callers that
+    /// know the encoding's size up front.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        DigestWriter {
+            bytes: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends raw bytes. Callers encoding variable-length data must
     /// length-prefix it (see [`DigestWriter::write_len`]) to keep the
     /// overall encoding unambiguous.

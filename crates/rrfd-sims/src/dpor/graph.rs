@@ -140,8 +140,12 @@ pub struct ExecEvent<E> {
     /// The shared-state footprint the application reported.
     pub access: Access,
     /// Vector clock: `a.clock.le(&b.clock)` iff `a` happens-before `b`
-    /// (or `a == b`).
+    /// (or `a == b`). Component `q` counts the events of process `q` in
+    /// this event's causal past, itself included.
     pub clock: VectorClock,
+    /// Position of this event in its process's program order, from 1 —
+    /// equal to `clock.get(pid)`.
+    pub seq: u64,
 }
 
 /// A recorded execution with its happens-before order, built
@@ -150,8 +154,9 @@ pub struct ExecEvent<E> {
 pub struct ExecutionGraph<E> {
     n: usize,
     events: Vec<ExecEvent<E>>,
-    /// Clock of each process's latest event (zero before its first).
-    proc_clocks: Vec<VectorClock>,
+    /// Event indices of each process in program order: `chains[p][s - 1]`
+    /// is the event of `p` with `seq == s`.
+    chains: Vec<Vec<usize>>,
 }
 
 impl<E: SchedEvent> ExecutionGraph<E> {
@@ -161,7 +166,7 @@ impl<E: SchedEvent> ExecutionGraph<E> {
         ExecutionGraph {
             n,
             events: Vec::new(),
-            proc_clocks: vec![VectorClock::zero(n); n],
+            chains: vec![Vec::new(); n],
         }
     }
 
@@ -186,35 +191,65 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     /// Records an applied event. Its clock is the join of the process's
     /// program-order predecessor and every earlier conflicting event,
     /// ticked at `pid` — so `le` between clocks decides happens-before.
+    ///
+    /// Only the latest conflicting event of each other process is joined:
+    /// an earlier one precedes it in program order, so its clock is
+    /// already below. The backward scan of a process's chain stops at the
+    /// first event the clock already covers, for the same reason.
     pub fn push(&mut self, event: E, pid: ProcessId, access: Access) {
-        let mut clock = self.proc_clocks[pid.index()].clone();
-        for prior in &self.events {
-            if prior.pid != pid && prior.access.conflicts(access) {
+        let p = pid.index();
+        let mut clock = match self.chains[p].last() {
+            Some(&last) => self.events[last].clock.clone(),
+            None => VectorClock::zero(self.n),
+        };
+        for (q, chain) in self.chains.iter().enumerate() {
+            if q == p {
+                continue;
+            }
+            let latest = chain
+                .iter()
+                .rev()
+                .map(|&k| &self.events[k])
+                .take_while(|prior| prior.seq > clock.get(q))
+                .find(|prior| prior.access.conflicts(access));
+            if let Some(prior) = latest {
                 clock.join(&prior.clock);
             }
         }
-        clock.tick(pid.index());
-        self.proc_clocks[pid.index()] = clock.clone();
+        clock.tick(p);
+        let seq = clock.get(p);
+        self.chains[p].push(self.events.len());
         self.events.push(ExecEvent {
             event,
             pid,
             access,
             clock,
+            seq,
         });
     }
 
     /// Whether event `i` happens-before event `j` (strict: `false` when
-    /// `i == j`).
+    /// `i == j`). O(1): `j`'s clock counts the events of `i`'s process in
+    /// its causal past, and those are exactly that process's first
+    /// `clock_j[pid_i]` events.
     #[must_use]
     pub fn hb(&self, i: usize, j: usize) -> bool {
-        i != j && self.events[i].clock.le(&self.events[j].clock)
+        let (a, b) = (&self.events[i], &self.events[j]);
+        i != j && b.clock.get(a.pid.index()) >= a.seq
     }
 
     /// The canonical linearization of this run's trace class: a greedy
     /// topological sort of happens-before that always emits the
-    /// hb-available event of the smallest process id. Within a process,
-    /// program order forces a chain, so at most one event per process is
-    /// available at a time and the choice is unambiguous.
+    /// hb-available event of the smallest process id.
+    ///
+    /// Program order makes each process a chain, so only the head of a
+    /// process (its first event not yet emitted) can be available. The
+    /// events of `q` that happen before the head `h` are `q`'s first
+    /// `clock_h[q]` events, so `h` is available exactly when every other
+    /// process `q` has emitted at least `clock_h[q]` events. Some head is
+    /// always available — the earliest unemitted event in execution order
+    /// has every hb-predecessor emitted — so the loop emits every event.
+    /// Cost O(len·n²).
     ///
     /// Two runs in the same Mazurkiewicz class have the same event set
     /// and the same happens-before order, hence the same canonical
@@ -222,33 +257,20 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     /// from it is a pure function of the class.
     #[must_use]
     pub fn canonical_order(&self) -> Vec<usize> {
-        let len = self.events.len();
-        let mut emitted = vec![false; len];
-        let mut order = Vec::with_capacity(len);
-        for _ in 0..len {
-            let mut best: Option<usize> = None;
-            for j in 0..len {
-                if emitted[j] {
-                    continue;
-                }
-                let ready = (0..len).all(|i| emitted[i] || !self.hb(i, j));
-                if !ready {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let (bp, jp) = (self.events[b].pid.index(), self.events[j].pid.index());
-                        jp < bp || (jp == bp && j < b)
-                    }
-                };
-                if better {
-                    best = Some(j);
-                }
-            }
-            let next = best.expect("happens-before must stay acyclic");
-            emitted[next] = true;
-            order.push(next);
+        let mut emitted = vec![0usize; self.n];
+        let mut order = Vec::with_capacity(self.events.len());
+        let ready_head = |p: usize, emitted: &[usize]| {
+            let head = *self.chains[p].get(emitted[p])?;
+            let clock = &self.events[head].clock;
+            (0..self.n)
+                .all(|q| q == p || clock.get(q) <= emitted[q] as u64)
+                .then_some(head)
+        };
+        while let Some((p, head)) =
+            (0..self.n).find_map(|p| ready_head(p, &emitted).map(|head| (p, head)))
+        {
+            emitted[p] += 1;
+            order.push(head);
         }
         order
     }
@@ -262,27 +284,41 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     /// smaller races first.
     ///
     /// The definition mentions only the partial order, so the race list
-    /// is the same for every linearization of the class.
+    /// is the same for every linearization of the class. Pairs are listed
+    /// by `i`, then `j`; since `i →hb j` implies `i` executed first, only
+    /// `j > i` is tested.
     #[must_use]
     pub fn reversible_races(&self) -> Vec<(usize, usize)> {
-        let len = self.events.len();
         let mut races = Vec::new();
-        for i in 0..len {
-            for j in 0..len {
-                if i == j
-                    || self.events[i].pid == self.events[j].pid
-                    || !self.events[i].access.conflicts(self.events[j].access)
-                    || !self.hb(i, j)
+        for (i, a) in self.events.iter().enumerate() {
+            for (j, b) in self.events.iter().enumerate().skip(i + 1) {
+                if a.pid != b.pid
+                    && a.access.conflicts(b.access)
+                    && self.hb(i, j)
+                    && !self.mediated(i, j)
                 {
-                    continue;
-                }
-                let mediated = (0..len).any(|k| k != i && k != j && self.hb(i, k) && self.hb(k, j));
-                if !mediated {
                     races.push((i, j));
                 }
             }
         }
         races
+    }
+
+    /// Whether some event `k` has `i →hb k →hb j`. Every such `k` is at
+    /// or before, in program order, the latest event its process has in
+    /// `j`'s strict causal past, and `i` happens before that one too
+    /// (`hb` is strict, so the latest event being `i` itself does not
+    /// count). So only those ≤ n latest events are tested: O(n).
+    fn mediated(&self, i: usize, j: usize) -> bool {
+        let b = &self.events[j];
+        self.chains.iter().enumerate().any(|(q, chain)| {
+            // q's latest event in j's strict causal past, if any.
+            let past = b.clock.get(q) as usize - usize::from(q == b.pid.index());
+            let Some(&k) = past.checked_sub(1).and_then(|s| chain.get(s)) else {
+                return false;
+            };
+            self.hb(i, k)
+        })
     }
 
     /// The process count this graph was built over.
@@ -306,10 +342,231 @@ impl<E: SchedEvent> fmt::Display for EventLine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semi_sync::SemiSyncEvent;
     use crate::shared_mem::MemEvent;
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// Reference clocks, built the direct way: each event joins its
+    /// program-order predecessor and *every* earlier conflicting event of
+    /// another process.
+    fn reference_clocks<E: SchedEvent>(g: &ExecutionGraph<E>) -> Vec<VectorClock> {
+        let mut clocks: Vec<VectorClock> = Vec::new();
+        for (j, b) in g.events().iter().enumerate() {
+            let mut clock = VectorClock::zero(g.n());
+            for (i, a) in g.events()[..j].iter().enumerate() {
+                if a.pid == b.pid || a.access.conflicts(b.access) {
+                    clock.join(&clocks[i]);
+                }
+            }
+            clock.tick(b.pid.index());
+            clocks.push(clock);
+        }
+        clocks
+    }
+
+    /// Reference happens-before: whole-clock comparison.
+    fn reference_hb(clocks: &[VectorClock], i: usize, j: usize) -> bool {
+        i != j && clocks[i].le(&clocks[j])
+    }
+
+    /// Reference canonical order: repeatedly scan every event for the
+    /// hb-available one of smallest pid. O(len³·n).
+    fn reference_canonical_order<E: SchedEvent>(g: &ExecutionGraph<E>) -> Vec<usize> {
+        let clocks = reference_clocks(g);
+        let len = g.len();
+        let mut emitted = vec![false; len];
+        let mut order = Vec::with_capacity(len);
+        for _ in 0..len {
+            let mut best: Option<usize> = None;
+            for j in 0..len {
+                if emitted[j] {
+                    continue;
+                }
+                let ready = (0..len).all(|i| emitted[i] || !reference_hb(&clocks, i, j));
+                if !ready {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some(b) => {
+                        let (bp, jp) = (g.events()[b].pid.index(), g.events()[j].pid.index());
+                        jp < bp || (jp == bp && j < b)
+                    }
+                };
+                if better {
+                    best = Some(j);
+                }
+            }
+            let next = best.expect("happens-before must stay acyclic");
+            emitted[next] = true;
+            order.push(next);
+        }
+        order
+    }
+
+    /// Reference race list: every mediator `k` is tried. O(len³·n).
+    fn reference_reversible_races<E: SchedEvent>(g: &ExecutionGraph<E>) -> Vec<(usize, usize)> {
+        let clocks = reference_clocks(g);
+        let hb = |i, j| reference_hb(&clocks, i, j);
+        let len = g.len();
+        let mut races = Vec::new();
+        for i in 0..len {
+            for j in 0..len {
+                if i == j
+                    || g.events()[i].pid == g.events()[j].pid
+                    || !g.events()[i].access.conflicts(g.events()[j].access)
+                    || !hb(i, j)
+                {
+                    continue;
+                }
+                let mediated = (0..len).any(|k| k != i && k != j && hb(i, k) && hb(k, j));
+                if !mediated {
+                    races.push((i, j));
+                }
+            }
+        }
+        races
+    }
+
+    /// SplitMix64: a seeded, dependency-free generator for the random
+    /// graphs below.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+    }
+
+    /// A footprint of the shared-memory substrate for process `p`, over
+    /// two banks and two oracle objects so that conflicts are common.
+    fn mem_access(rng: &mut SplitMix, n: usize, p: usize) -> Access {
+        match rng.below(6) {
+            0 => Access::Local,
+            1 => Access::Write {
+                bank: rng.below(2),
+                owner: p,
+            },
+            2 => Access::Read {
+                bank: rng.below(2),
+                owner: rng.below(n),
+            },
+            3 => Access::Snapshot { bank: rng.below(2) },
+            4 => Access::Oracle {
+                object: rng.below(2),
+            },
+            _ => Access::Crash,
+        }
+    }
+
+    /// A footprint of the semi-synchronous substrate.
+    fn semi_access(rng: &mut SplitMix) -> Access {
+        [
+            Access::Local,
+            Access::Broadcast,
+            Access::Decide,
+            Access::BroadcastDecide,
+            Access::Crash,
+        ][rng.below(5)]
+    }
+
+    /// Checks the kernels of `g` against the references: identical
+    /// clocks, `hb` matrix, canonical order and race list, and a
+    /// canonical order that linearizes happens-before.
+    fn assert_matches_reference<E: SchedEvent>(g: &ExecutionGraph<E>, label: &str) {
+        let clocks = reference_clocks(g);
+        for (j, b) in g.events().iter().enumerate() {
+            assert_eq!(b.clock, clocks[j], "{label}: clock of event {j}");
+            assert_eq!(b.seq, b.clock.get(b.pid.index()), "{label}: seq of {j}");
+            for i in 0..g.len() {
+                assert_eq!(
+                    g.hb(i, j),
+                    reference_hb(&clocks, i, j),
+                    "{label}: hb({i}, {j})"
+                );
+            }
+        }
+        let canon = g.canonical_order();
+        assert_eq!(canon, reference_canonical_order(g), "{label}: order");
+        let mut pos = vec![usize::MAX; g.len()];
+        for (at, &k) in canon.iter().enumerate() {
+            pos[k] = at;
+        }
+        for i in 0..g.len() {
+            for j in 0..g.len() {
+                if g.hb(i, j) {
+                    assert!(pos[i] < pos[j], "{label}: {i} ->hb {j} out of order");
+                }
+            }
+        }
+        assert_eq!(
+            g.reversible_races(),
+            reference_reversible_races(g),
+            "{label}: races"
+        );
+    }
+
+    /// Conflicting cross-process pairs ordered by happens-before that
+    /// are *not* reversible races.
+    fn mediated_pairs<E: SchedEvent>(g: &ExecutionGraph<E>) -> usize {
+        let ev = g.events();
+        let ordered = (0..g.len())
+            .flat_map(|i| (0..g.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| {
+                ev[i].pid != ev[j].pid && ev[i].access.conflicts(ev[j].access) && g.hb(i, j)
+            })
+            .count();
+        ordered - g.reversible_races().len()
+    }
+
+    #[test]
+    fn kernels_match_the_reference_on_random_graphs() {
+        let mut rng = SplitMix(0x5EED_D0A5);
+        let (mut races, mut mediated) = (0, 0);
+        for round in 0..400 {
+            let n = 2 + rng.below(7);
+            let len = rng.below(49);
+            let label = format!("graph {round} (n = {n}, len = {len})");
+            if round % 2 == 0 {
+                let mut g = ExecutionGraph::new(n);
+                for _ in 0..len {
+                    let p = rng.below(n);
+                    let access = mem_access(&mut rng, n, p);
+                    g.push(MemEvent::Step(pid(p)), pid(p), access);
+                }
+                assert_matches_reference(&g, &label);
+                races += g.reversible_races().len();
+                mediated += mediated_pairs(&g);
+            } else {
+                let mut g = ExecutionGraph::new(n);
+                for _ in 0..len {
+                    let p = rng.below(n);
+                    let access = semi_access(&mut rng);
+                    let event = if access == Access::Crash {
+                        SemiSyncEvent::Crash(pid(p))
+                    } else {
+                        SemiSyncEvent::Step(pid(p))
+                    };
+                    g.push(event, pid(p), access);
+                }
+                assert_matches_reference(&g, &label);
+                races += g.reversible_races().len();
+                mediated += mediated_pairs(&g);
+            }
+        }
+        assert!(races > 400, "the generator must produce races: {races}");
+        assert!(mediated > 400, "and mediated pairs: {mediated}");
     }
 
     #[test]

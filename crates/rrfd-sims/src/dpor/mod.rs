@@ -59,6 +59,10 @@ use revisit::{drive_dpor, DporTarget};
 use rrfd_core::ProcessId;
 use rrfd_obs::Obs;
 
+/// Environment variable overriding the default worker count
+/// ([`DporConfig::from_env`]).
+pub const WORKERS_ENV: &str = "RRFD_EXPLORE_WORKERS";
+
 /// Configuration of a DPOR exploration.
 #[derive(Debug, Clone)]
 pub struct DporConfig {
@@ -79,12 +83,12 @@ impl DporConfig {
         }
     }
 
-    /// Worker count from the `RRFD_EXPLORE_WORKERS` environment variable
+    /// Worker count from the [`WORKERS_ENV`] environment variable
     /// (shared with the legacy parallel explorer), falling back to the
     /// machine's available parallelism.
     #[must_use]
     pub fn from_env() -> Self {
-        let workers = std::env::var(crate::explore_par::WORKERS_ENV)
+        let workers = std::env::var(WORKERS_ENV)
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&w| w >= 1)
@@ -94,7 +98,8 @@ impl DporConfig {
 
     /// Overrides the trace-class guard (the analogue of the legacy
     /// explorers' `max_runs`/`max_schedules`, counting classes instead
-    /// of interleavings).
+    /// of interleavings). A search that meets more classes than this
+    /// returns [`DporError::ClassLimit`].
     #[must_use]
     pub fn max_schedules(mut self, max: usize) -> Self {
         self.max_schedules = max;
@@ -312,12 +317,13 @@ where
 /// smallest canonical key (a deterministic choice, independent of worker
 /// count) as a replayable certificate;
 /// [`DporError::Misconfigured`] reports a process vector that does not
-/// match the system size.
+/// match the system size; [`DporError::ClassLimit`] reports a search
+/// past [`DporConfig::max_schedules`] trace classes, whatever the worker
+/// count, and takes precedence over a counterexample.
 ///
 /// # Panics
 ///
-/// Panics past [`DporConfig::max_schedules`] explored trace classes, or
-/// when a protocol errors mid-run (explorations require clean,
+/// Panics when a protocol errors mid-run (explorations require clean,
 /// terminating protocols).
 pub fn explore_shared_mem_dpor<V, P, G, F>(
     sim: &SharedMemSim,
@@ -550,6 +556,31 @@ mod tests {
         let eight = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(8)).unwrap();
         assert_eq!(project(one), project(eight));
         assert_eq!(one.steals, 0, "a single worker cannot steal");
+    }
+
+    #[test]
+    fn class_guard_is_a_typed_error_at_any_worker_count() {
+        let sim = SharedMemSim::new(size(3), 1);
+        let make = || {
+            (0..3)
+                .map(|i| WriteReadRing {
+                    me: ProcessId::new(i),
+                })
+                .collect::<Vec<_>>()
+        };
+        let all = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &DporConfig::new(1)).unwrap();
+        assert!(all.schedules > 2, "the ring has more than two classes");
+        for workers in [1, 2] {
+            let config = DporConfig::new(workers).max_schedules(2);
+            let err = explore_shared_mem_dpor(&sim, make, |_| Ok(()), &config).unwrap_err();
+            assert!(
+                matches!(err, DporError::ClassLimit { max: 2 }),
+                "{workers} workers: {err}"
+            );
+            // The guard is inclusive: exactly the class count passes.
+            let exact = DporConfig::new(workers).max_schedules(all.schedules);
+            assert!(explore_shared_mem_dpor(&sim, make, |_| Ok(()), &exact).is_ok());
+        }
     }
 
     /// Three-process ring: write own value, read left neighbour.

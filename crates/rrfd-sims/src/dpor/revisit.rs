@@ -23,8 +23,10 @@ use crate::digest::{DigestMemo, DigestWriter, StateKey};
 use crate::explore::{Counterexample, ExploreStats};
 use crate::trace::{SchedEvent, ScheduleTrace};
 use rrfd_core::ProcessId;
+use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// What the DPOR driver needs from an execution state. The contract
 /// mirrors the legacy explorer's `Explorable`, minus state digests (DPOR
@@ -70,6 +72,14 @@ pub enum DporError<E> {
     Counterexample(Box<Counterexample<E>>),
     /// The instance could not be started (wrong process count).
     Misconfigured(String),
+    /// The search reached more than `max` distinct trace classes
+    /// ([`super::DporConfig::max_schedules`]). Whether this happens is a
+    /// property of the class space, not of the worker count, and it takes
+    /// precedence over any counterexample met on the way.
+    ClassLimit {
+        /// The configured class guard.
+        max: usize,
+    },
 }
 
 impl<E: SchedEvent> std::fmt::Display for DporError<E> {
@@ -77,23 +87,61 @@ impl<E: SchedEvent> std::fmt::Display for DporError<E> {
         match self {
             DporError::Counterexample(cex) => write!(f, "{cex}"),
             DporError::Misconfigured(why) => write!(f, "misconfigured exploration: {why}"),
+            DporError::ClassLimit { max } => write!(
+                f,
+                "DPOR exploration exceeded max_schedules ({max} trace classes)"
+            ),
         }
     }
 }
 
 impl<E: SchedEvent> std::error::Error for DporError<E> {}
 
-/// Digest of an event sequence through its trace-line encoding: the
-/// class identity of a canonical linearization, and the dedup key of a
-/// proposed revisit prefix.
-fn events_key<E: SchedEvent>(events: impl IntoIterator<Item = E>) -> StateKey {
-    let mut w = DigestWriter::new();
-    for event in events {
-        let line = EventLine(event).to_string();
-        w.write_len(line.len());
-        w.write_bytes(line.as_bytes());
+/// The trace lines (`step 3`, `crash 1`, …) of one work item's events,
+/// each distinct event formatted once. Keys are digests of line
+/// sequences, so the class key and every child key are assembled from
+/// these lines without formatting any event again.
+struct EventLines<E> {
+    text: String,
+    /// Each distinct event seen so far, with its line's range in `text`.
+    distinct: Vec<(E, Range<usize>)>,
+}
+
+impl<E: SchedEvent> EventLines<E> {
+    fn new() -> Self {
+        EventLines {
+            text: String::new(),
+            distinct: Vec::new(),
+        }
     }
-    w.finish()
+
+    /// The range of `event`'s line in the text, formatted on first sight.
+    fn intern(&mut self, event: E) -> Range<usize> {
+        if let Some((_, line)) = self.distinct.iter().find(|(seen, _)| *seen == event) {
+            return line.clone();
+        }
+        let start = self.text.len();
+        // Formatting into a `String` cannot fail.
+        let _ = write!(self.text, "{}", EventLine(event));
+        let line = start..self.text.len();
+        self.distinct.push((event, line.clone()));
+        line
+    }
+
+    /// Digest of a sequence of interned lines, each length-prefixed: the
+    /// class identity of a canonical linearization, and the dedup key of
+    /// a proposed revisit prefix.
+    fn key(&self, lines: impl Iterator<Item = Range<usize>> + Clone) -> StateKey {
+        // Capacity only: `write_len` writes a `u64` before each line.
+        let size = lines.clone().map(|line| 8 + line.len()).sum();
+        let mut w = DigestWriter::with_capacity(size);
+        for line in lines {
+            let line = &self.text[line];
+            w.write_len(line.len());
+            w.write_bytes(line.as_bytes());
+        }
+        w.finish()
+    }
 }
 
 /// A counterexample keyed by its class's canonical digest; the minimal
@@ -138,8 +186,25 @@ where
             &classes_seen,
             max_classes,
         );
+        // Failing classes spawn no children, so `item.children` is empty
+        // for them; dedup proposed prefixes before they enter the pool.
+        // Their keys were digested by `process_item`, outside every lock.
+        let (mut revisits, mut blocked) = (0, 0);
+        {
+            let mut prefixes = prefix_memo.lock().expect("prefix memo poisoned");
+            for (key, child) in item.children {
+                if prefixes.insert(key).is_fresh() {
+                    revisits += 1;
+                    spawn.push(child);
+                } else {
+                    blocked += 1;
+                }
+            }
+        }
         let mut fold = fold.lock().expect("fold mutex poisoned");
         fold.stats = fold.stats.merged(item.stats);
+        fold.stats.revisits += revisits;
+        fold.stats.sleep_set_blocked += blocked;
         if let Some((key, cex)) = item.cex {
             let replace = match &fold.cex {
                 Some((best, _)) => key < *best,
@@ -149,31 +214,24 @@ where
                 fold.cex = Some((key, cex));
             }
         }
-        // Failing classes spawn no children, so `item.children` is empty
-        // for them; dedup proposed prefixes before they enter the pool.
-        let mut prefixes = prefix_memo.lock().expect("prefix memo poisoned");
-        for child in item.children {
-            if prefixes
-                .insert(events_key(child.iter().copied()))
-                .is_fresh()
-            {
-                fold.stats.revisits += 1;
-                spawn.push(child);
-            } else {
-                fold.stats.sleep_set_blocked += 1;
-            }
-        }
     });
 
-    let mut fold = fold.into_inner().expect("fold mutex poisoned");
+    if classes_seen.load(Ordering::SeqCst) > max_classes {
+        return Err(DporError::ClassLimit { max: max_classes });
+    }
+    // The pool rethrows a worker's panic, so returning here means no
+    // lock was poisoned; recovering the guard is total.
+    let mut fold = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let classes = class_memo
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let prefixes = prefix_memo
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     fold.stats.workers = pool_stats.workers;
     fold.stats.steals = pool_stats.steals;
-    {
-        let classes = class_memo.lock().expect("class memo poisoned");
-        let prefixes = prefix_memo.lock().expect("prefix memo poisoned");
-        fold.stats.memo_entries = classes.len() + prefixes.len();
-        fold.stats.memo_bytes = classes.bytes() + prefixes.bytes();
-    }
+    fold.stats.memo_entries = classes.len() + prefixes.len();
+    fold.stats.memo_bytes = classes.bytes() + prefixes.bytes();
     fold.stats.record(&config.obs);
 
     match fold.cex {
@@ -186,16 +244,19 @@ where
 }
 
 /// Per-item outcome: effort totals, an optional keyed counterexample,
-/// and the raw (not yet deduplicated) child prefixes.
+/// and the raw (not yet deduplicated) child prefixes with their keys.
 struct ItemOutcome<E> {
     stats: ExploreStats,
     cex: Option<KeyedCex<E>>,
-    children: Vec<Vec<E>>,
+    children: Vec<(StateKey, Vec<E>)>,
 }
 
 /// Replays `prefix`, extends it deterministically to a maximal run,
 /// deduplicates the resulting trace class, checks it, and derives the
 /// class's revisits from its canonical linearization.
+///
+/// Once more than `max_classes` classes have been seen the search is
+/// over: this item (and every later one) returns without children.
 fn process_item<T, F>(
     root: &T,
     check: &F,
@@ -214,6 +275,10 @@ where
         cex,
         children,
     };
+
+    if classes_seen.load(Ordering::SeqCst) > max_classes {
+        return out(stats, None, Vec::new());
+    }
 
     // Replay the revisit prefix, recording footprints and choice indices.
     let mut state = root.clone();
@@ -247,12 +312,17 @@ where
     // One representative per Mazurkiewicz class: the canonical
     // linearization's digest is the class identity.
     let canon = graph.canonical_order();
-    let class_key = events_key(canon.iter().map(|&i| graph.events()[i].event));
-    let class_bytes: Box<[u8]> = class_key.bytes().into();
+    let mut lines = EventLines::new();
+    let slots: Vec<Range<usize>> = graph
+        .events()
+        .iter()
+        .map(|e| lines.intern(e.event))
+        .collect();
+    let canon_lines = || canon.iter().map(|&k| slots[k].clone());
     if class_memo
         .lock()
         .expect("class memo poisoned")
-        .insert(class_key)
+        .insert(lines.key(canon_lines()))
         .is_duplicate()
     {
         stats.sleep_set_blocked += 1;
@@ -260,13 +330,12 @@ where
     }
     stats.schedules += 1;
     stats.graphs_explored += 1;
-    let seen = classes_seen.fetch_add(1, Ordering::SeqCst) + 1;
-    assert!(
-        seen <= max_classes,
-        "DPOR exploration exceeded max_schedules ({max_classes} trace classes)"
-    );
+    if classes_seen.fetch_add(1, Ordering::SeqCst) + 1 > max_classes {
+        return out(stats, None, Vec::new());
+    }
 
     if let Err(message) = check(&state.report()) {
+        let class_bytes = lines.key(canon_lines()).bytes().into();
         let cex = Box::new(Counterexample {
             choices,
             schedule: ScheduleTrace::from_events(graph.events().iter().map(|e| e.event).collect()),
@@ -276,22 +345,37 @@ where
         return out(stats, Some((class_bytes, cex)), Vec::new());
     }
 
-    let mut children = race_reversal_prefixes(&graph, &canon);
+    let event = |k: usize| graph.events()[k].event;
+    let mut children: Vec<(StateKey, Vec<T::Event>)> = race_reversal_prefixes(&graph, &canon)
+        .into_iter()
+        .map(|prefix| {
+            let key = lines.key(prefix.iter().map(|&k| slots[k].clone()));
+            (key, prefix.into_iter().map(event).collect())
+        })
+        .collect();
     if T::HAS_ALTERNATIVES {
-        children.extend(alternative_prefixes(root, &graph, &canon));
+        for (len, alt) in alternative_prefixes(root, &graph, &canon) {
+            let alt_line = lines.intern(alt);
+            let replayed = canon[..len].iter().map(|&k| slots[k].clone());
+            let key = lines.key(replayed.chain(std::iter::once(alt_line)));
+            let mut child: Vec<T::Event> = canon[..len].iter().map(|&k| event(k)).collect();
+            child.push(alt);
+            children.push((key, child));
+        }
     }
     out(stats, None, children)
 }
 
-/// Revisit prefixes from the class's reversible races, computed in
-/// canonical coordinates: for a race `(i, j)` the child is everything
-/// canonically before `i`, then the events between them that do not
-/// causally depend on `i`, then `j` itself — the shortest enabled prefix
-/// in which `j` happens without `i` having happened.
+/// Revisit prefixes from the class's reversible races, as indices into
+/// the graph's events, computed in canonical coordinates: for a race
+/// `(i, j)` the child is everything canonically before `i`, then the
+/// events between them that do not causally depend on `i`, then `j`
+/// itself — the shortest enabled prefix in which `j` happens without `i`
+/// having happened.
 fn race_reversal_prefixes<E: SchedEvent>(
     graph: &ExecutionGraph<E>,
     canon: &[usize],
-) -> Vec<Vec<E>> {
+) -> Vec<Vec<usize>> {
     let mut pos = vec![0usize; canon.len()];
     for (p, &orig) in canon.iter().enumerate() {
         pos[orig] = p;
@@ -303,24 +387,22 @@ fn race_reversal_prefixes<E: SchedEvent>(
         .map(|(i, j)| {
             let (ci, cj) = (pos[i], pos[j]);
             debug_assert!(ci < cj, "canonical order must linearize happens-before");
-            let mut prefix: Vec<E> = canon[..ci]
-                .iter()
-                .map(|&k| graph.events()[k].event)
-                .collect();
+            let mut prefix = canon[..ci].to_vec();
             prefix.extend(
                 canon[ci + 1..cj]
                     .iter()
-                    .filter(|&&k| !graph.hb(i, k))
-                    .map(|&k| graph.events()[k].event),
+                    .copied()
+                    .filter(|&k| !graph.hb(i, k)),
             );
-            prefix.push(graph.events()[j].event);
+            prefix.push(j);
             prefix
         })
         .collect()
 }
 
-/// Revisit prefixes from data-nondeterministic alternatives (crashes):
-/// replays the canonical linearization and, before each position,
+/// Revisit prefixes from data-nondeterministic alternatives (crashes),
+/// as `(len, alt)`: the first `len` canonical events, then `alt`.
+/// Replays the canonical linearization and, before each position,
 /// branches into every enabled alternative the deterministic extension
 /// would never take. Race reversal only reorders events that *occur*; a
 /// maximal run without a crash gives it nothing to reorder, so these
@@ -330,19 +412,12 @@ fn alternative_prefixes<T: DporTarget>(
     root: &T,
     graph: &ExecutionGraph<T::Event>,
     canon: &[usize],
-) -> Vec<Vec<T::Event>> {
+) -> Vec<(usize, T::Event)> {
     let mut children = Vec::new();
     let mut state = root.clone();
-    let mut replayed: Vec<T::Event> = Vec::with_capacity(canon.len());
-    for &k in canon {
-        for alt in state.alternatives() {
-            let mut child = replayed.clone();
-            child.push(alt);
-            children.push(child);
-        }
-        let event = graph.events()[k].event;
-        state.apply_traced(event);
-        replayed.push(event);
+    for (len, &k) in canon.iter().enumerate() {
+        children.extend(state.alternatives().into_iter().map(|alt| (len, alt)));
+        state.apply_traced(graph.events()[k].event);
     }
     children
 }
