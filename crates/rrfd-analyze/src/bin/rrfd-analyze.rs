@@ -16,27 +16,19 @@ Every subcommand exits 0 when clean, 1 on findings/drift, 2 on usage
 errors; --json switches stdout to a machine-readable object.
 
 commands:
-  lattice [--depth N] [--n N] [--f F] [--workers W]
-          [--no-compiled] [--explorer legacy|par|dpor]
-          [--memo PATH | --no-memo] [--check | --update]
-          [--file PATH] [--json]
+  lattice [--depth N] [--n N] [--f F] [--memo PATH | --no-memo]
+          [--check | --update] [--file PATH] [--json]
       Compute the predicate-implication lattice over the standard zoo
       (default n=3, f=1, depth 4) and print it as markdown (or as an
-      `rrfd-lattice v1` JSON object with --json). By default the pairs
-      are decided by one shared prefix-trie walk on the compiled
-      predicate plane, reusing the witness memo at --memo (default
-      .rrfd-lattice-memo; pairs whose predicate fingerprints still match
-      are trusted or re-verified instead of re-searched, and the memo
-      file is refreshed after the run — byte-identical when warm).
-      --no-memo skips the memo; --no-compiled falls back to the legacy
-      per-pair dyn searches, run on W threads (default:
-      RRFD_EXPLORE_WORKERS, else the machine's parallelism) scheduled by
-      --explorer: `dpor` (default) distributes the refutation searches
-      over the DPOR work-stealing deque pool, `par` uses the legacy
-      shared claim counter, `legacy` runs them sequentially. Every path
-      renders the identical lattice. With --check, compare against the
-      `<!-- lattice:begin -->` block in PATH (default EXPERIMENTS.md)
-      and fail on drift; with --update, rewrite the block.
+      `rrfd-lattice v1` JSON object with --json). The pairs are decided
+      by one shared prefix-trie walk on the compiled predicate plane,
+      reusing the witness memo at --memo (default .rrfd-lattice-memo;
+      pairs whose predicate fingerprints still match are trusted or
+      re-verified instead of re-searched, and the memo file is refreshed
+      after the run — byte-identical when warm). --no-memo skips the
+      memo. With --check, compare against the `<!-- lattice:begin -->`
+      block in PATH (default EXPERIMENTS.md) and fail on drift; with
+      --update, rewrite the block.
 
   races <trace-file> [--expect-violations] [--json]
       Analyze a serialized `rrfd-trace v1` or `rrfd-events v1` capture.
@@ -91,16 +83,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Default worker count for parallel analyses: `RRFD_EXPLORE_WORKERS`,
-/// else the machine's available parallelism.
-fn default_workers() -> usize {
-    std::env::var("RRFD_EXPLORE_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("{message}\n");
     eprint!("{USAGE}");
@@ -134,15 +116,7 @@ const LATTICE_END: &str = "<!-- lattice:end -->";
 
 fn run_lattice(args: &[String]) -> ExitCode {
     let mut rest = args.to_vec();
-    type LatticeArgs = (
-        u32,
-        usize,
-        usize,
-        usize,
-        String,
-        Option<String>,
-        Option<String>,
-    );
+    type LatticeArgs = (u32, usize, usize, Option<String>, Option<String>);
     let parsed = (|| -> Result<LatticeArgs, String> {
         let depth = match take_value(&mut rest, "--depth")? {
             Some(v) => v.parse().map_err(|_| format!("bad --depth {v:?}"))?,
@@ -156,27 +130,17 @@ fn run_lattice(args: &[String]) -> ExitCode {
             Some(v) => v.parse().map_err(|_| format!("bad --f {v:?}"))?,
             None => 1,
         };
-        let workers = match take_value(&mut rest, "--workers")? {
-            Some(v) => v.parse().map_err(|_| format!("bad --workers {v:?}"))?,
-            None => default_workers(),
-        };
-        let explorer = match take_value(&mut rest, "--explorer")? {
-            Some(v) if ["legacy", "par", "dpor"].contains(&v.as_str()) => v,
-            Some(v) => return Err(format!("bad --explorer {v:?} (legacy, par, or dpor)")),
-            None => "dpor".to_owned(),
-        };
         let file = take_value(&mut rest, "--file")?;
         let memo = take_value(&mut rest, "--memo")?;
-        Ok((depth, n, f, workers, explorer, file, memo))
+        Ok((depth, n, f, file, memo))
     })();
-    let (depth, n, f, workers, explorer, file, memo_arg) = match parsed {
+    let (depth, n, f, file, memo_arg) = match parsed {
         Ok(p) => p,
         Err(e) => return usage_error(&e),
     };
     let check = take_flag(&mut rest, "--check");
     let update = take_flag(&mut rest, "--update");
     let json = take_flag(&mut rest, "--json");
-    let compiled = !take_flag(&mut rest, "--no-compiled");
     let no_memo = take_flag(&mut rest, "--no-memo");
     if let Some(extra) = rest.first() {
         return usage_error(&format!("unexpected argument {extra:?}"));
@@ -190,57 +154,40 @@ fn run_lattice(args: &[String]) -> ExitCode {
     if no_memo && memo_arg.is_some() {
         return usage_error("--memo and --no-memo are mutually exclusive");
     }
-    if !compiled && memo_arg.is_some() {
-        return usage_error("--memo needs the compiled plane (drop --no-compiled)");
-    }
     let Ok(n) = SystemSize::new(n) else {
         return usage_error("--n must be at least 1");
     };
 
     let zoo = lattice::zoo(n, f);
-    let computed = if compiled {
-        let memo_path = (!no_memo)
-            .then(|| PathBuf::from(memo_arg.unwrap_or_else(|| memo::DEFAULT_MEMO_PATH.to_owned())));
-        let prior = memo_path.as_deref().and_then(memo::LatticeMemo::load);
-        eprintln!(
-            "computing the implication lattice (n={}, f={f}, depth {depth}, compiled plane, \
-             memo {})...",
-            n.get(),
-            match (&memo_path, &prior) {
-                (None, _) => "off".to_owned(),
-                (Some(p), None) => format!("cold at {}", p.display()),
-                (Some(p), Some(_)) => format!("warm at {}", p.display()),
-            }
-        );
-        let (computed, fresh, stats) = memo::compute_with_memo(&zoo, depth, prior.as_ref());
-        eprintln!(
-            "memo: {} of {} pairs reused, {} searched",
-            stats.hits, stats.pairs, stats.misses
-        );
-        if let Some(path) = &memo_path {
-            let rendered = fresh.render();
-            let stale = std::fs::read_to_string(path).map_or(true, |cur| cur != rendered);
-            if stale {
-                if let Err(e) = std::fs::write(path, &rendered) {
-                    eprintln!("warning: cannot refresh memo {}: {e}", path.display());
-                } else {
-                    eprintln!("memo refreshed at {}", path.display());
-                }
+    let memo_path = (!no_memo)
+        .then(|| PathBuf::from(memo_arg.unwrap_or_else(|| memo::DEFAULT_MEMO_PATH.to_owned())));
+    let prior = memo_path.as_deref().and_then(memo::LatticeMemo::load);
+    eprintln!(
+        "computing the implication lattice (n={}, f={f}, depth {depth}, compiled plane, \
+         memo {})...",
+        n.get(),
+        match (&memo_path, &prior) {
+            (None, _) => "off".to_owned(),
+            (Some(p), None) => format!("cold at {}", p.display()),
+            (Some(p), Some(_)) => format!("warm at {}", p.display()),
+        }
+    );
+    let (computed, fresh, stats) = memo::compute_with_memo(&zoo, depth, prior.as_ref());
+    eprintln!(
+        "memo: {} of {} pairs reused, {} searched",
+        stats.hits, stats.pairs, stats.misses
+    );
+    if let Some(path) = &memo_path {
+        let rendered = fresh.render();
+        let stale = std::fs::read_to_string(path).map_or(true, |cur| cur != rendered);
+        if stale {
+            if let Err(e) = std::fs::write(path, &rendered) {
+                eprintln!("warning: cannot refresh memo {}: {e}", path.display());
+            } else {
+                eprintln!("memo refreshed at {}", path.display());
             }
         }
-        computed
-    } else {
-        eprintln!(
-            "computing the implication lattice (n={}, f={f}, depth {depth}, {workers} \
-             worker(s), {explorer} explorer)...",
-            n.get()
-        );
-        match explorer.as_str() {
-            "legacy" => lattice::Lattice::compute(&zoo, depth),
-            "par" => lattice::Lattice::compute_par(&zoo, depth, workers.max(1)),
-            _ => lattice::Lattice::compute_stealing(&zoo, depth, workers.max(1)),
-        }
-    };
+    }
     if json {
         print!("{}", computed.render_json());
         return ExitCode::SUCCESS;
@@ -512,8 +459,9 @@ fn run_lint(args: &[String]) -> ExitCode {
     if report.is_clean(strict) {
         if !json {
             eprintln!(
-                "lint clean: {} finding(s) across 8 passes, all pinned or budgeted in {}",
+                "lint clean: {} finding(s) across {} passes, all pinned in {}",
                 findings.len(),
+                rrfd_analyze::passes::pass_names().len(),
                 allow_path.display()
             );
         }

@@ -27,7 +27,6 @@ use rrfd_models::enumerate::all_rounds;
 /// re-exported here so lattice callers keep their import paths.
 pub use rrfd_models::zoo::{zoo, SharedPredicate};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A witness that `A ⇏ B`: an `A`-legal pattern whose final round `B`
 /// rejects (every proper prefix is legal for both).
@@ -140,160 +139,38 @@ pub struct Lattice {
 
 impl Lattice {
     /// Computes the implication matrix over `predicates` with patterns of
-    /// at most `max_rounds` rounds.
+    /// at most `max_rounds` rounds, deciding each of the `len × len` pairs
+    /// by its own [`implies`] search.
+    ///
+    /// This is the reference oracle: slow (every pair re-enumerates its
+    /// jointly-legal prefixes through dyn `admits`) but obviously
+    /// correct. `rrfd-analyze lattice` runs the compiled shared-trie walk
+    /// ([`Lattice::compute_compiled`], via `crate::memo`), which must
+    /// render byte-identically to this.
     ///
     /// # Panics
     ///
     /// Panics when the family is empty or spans different system sizes.
     #[must_use]
     pub fn compute(predicates: &[SharedPredicate], max_rounds: u32) -> Self {
-        Lattice::compute_par(predicates, max_rounds, 1)
-    }
-
-    /// As [`Lattice::compute`], but deciding the `len × len` implication
-    /// pairs on up to `workers` threads (each pair is an independent
-    /// bounded-exhaustive search). Results are folded in pair order, so
-    /// the computed lattice — matrix, counterexamples, rendering — is
-    /// identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the family is empty or spans different system sizes.
-    #[must_use]
-    pub fn compute_par(predicates: &[SharedPredicate], max_rounds: u32, workers: usize) -> Self {
         let first = predicates
             .first()
             .unwrap_or_else(|| panic!("lattice needs at least one predicate"));
         let n = first.system_size();
         let names: Vec<String> = predicates.iter().map(|p| p.name()).collect();
         let len = predicates.len();
-        let pairs: Vec<(usize, usize)> = (0..len)
-            .flat_map(|i| (0..len).map(move |j| (i, j)))
-            .collect();
-
-        let decide = |&(i, j): &(usize, usize)| {
-            if i == j {
-                Ok(())
-            } else {
-                implies(predicates[i].as_ref(), predicates[j].as_ref(), max_rounds)
-            }
-        };
-
-        let worker_count = workers.clamp(1, pairs.len().max(1));
-        let mut slots: Vec<Option<Result<(), LatticeCounterexample>>> = Vec::new();
-        slots.resize_with(pairs.len(), || None);
-        if worker_count <= 1 {
-            for (k, pair) in pairs.iter().enumerate() {
-                slots[k] = Some(decide(pair));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let pairs_ref = &pairs;
-            let collected: Vec<Vec<(usize, Result<(), LatticeCounterexample>)>> =
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..worker_count)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut local = Vec::new();
-                                loop {
-                                    let k = next.fetch_add(1, Ordering::Relaxed);
-                                    if k >= pairs_ref.len() {
-                                        break;
-                                    }
-                                    local.push((k, decide(&pairs_ref[k])));
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(local) => local,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect()
-                });
-            for (k, outcome) in collected.into_iter().flatten() {
-                slots[k] = Some(outcome);
-            }
-        }
-
         let mut matrix = vec![vec![false; len]; len];
         let mut counterexamples = Vec::new();
-        for (k, slot) in slots.into_iter().enumerate() {
-            let (i, j) = pairs[k];
-            match slot {
-                Some(Ok(())) => matrix[i][j] = true,
-                Some(Err(cex)) => counterexamples.push(((i, j), cex)),
-                None => unreachable!("every pair is claimed exactly once"),
-            }
-        }
-        Lattice {
-            names,
-            matrix,
-            n,
-            max_rounds,
-            counterexamples,
-        }
-    }
-
-    /// As [`Lattice::compute_par`], but distributing the implication
-    /// pairs over the DPOR explorer's work-stealing deque pool
-    /// ([`rrfd_sims::dpor::StealPool`]) instead of a shared claim
-    /// counter. Refutation searches vary wildly in cost — a false
-    /// implication can fail on the first pattern while a true one
-    /// enumerates the whole bounded space — which is exactly the load
-    /// shape stealing balances and static claiming does not. Results are
-    /// folded by pair index, so the computed lattice is identical to
-    /// [`Lattice::compute`] at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the family is empty or spans different system sizes.
-    #[must_use]
-    pub fn compute_stealing(
-        predicates: &[SharedPredicate],
-        max_rounds: u32,
-        workers: usize,
-    ) -> Self {
-        use std::sync::Mutex;
-
-        let first = predicates
-            .first()
-            .unwrap_or_else(|| panic!("lattice needs at least one predicate"));
-        let n = first.system_size();
-        let names: Vec<String> = predicates.iter().map(|p| p.name()).collect();
-        let len = predicates.len();
-        let pairs: Vec<(usize, usize)> = (0..len)
-            .flat_map(|i| (0..len).map(move |j| (i, j)))
-            .collect();
-
-        let mut slots: Vec<Option<Result<(), LatticeCounterexample>>> = Vec::new();
-        slots.resize_with(pairs.len(), || None);
-        let slots_shared = Mutex::new(slots);
-        let pool = rrfd_sims::dpor::StealPool::new(workers.clamp(1, pairs.len().max(1)));
-        pool.run(
-            pairs.iter().copied().enumerate().collect(),
-            |(k, (i, j)), _spawn| {
-                let outcome = if i == j {
-                    Ok(())
-                } else {
-                    implies(predicates[i].as_ref(), predicates[j].as_ref(), max_rounds)
-                };
-                slots_shared.lock().expect("slot mutex poisoned")[k] = Some(outcome);
-            },
-        );
-        let slots = slots_shared.into_inner().expect("slot mutex poisoned");
-
-        let mut matrix = vec![vec![false; len]; len];
-        let mut counterexamples = Vec::new();
-        for (k, slot) in slots.into_iter().enumerate() {
-            let (i, j) = pairs[k];
-            match slot {
-                Some(Ok(())) => matrix[i][j] = true,
-                Some(Err(cex)) => counterexamples.push(((i, j), cex)),
-                None => unreachable!("the pool drains every seeded pair"),
+        for i in 0..len {
+            for j in 0..len {
+                if i == j {
+                    matrix[i][j] = true;
+                    continue;
+                }
+                match implies(predicates[i].as_ref(), predicates[j].as_ref(), max_rounds) {
+                    Ok(()) => matrix[i][j] = true,
+                    Err(cex) => counterexamples.push(((i, j), cex)),
+                }
             }
         }
         Lattice {
@@ -990,17 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_compute_matches_sequential_at_every_worker_count() {
-        let n = n3();
-        let family = zoo(n, 1);
-        let sequential = Lattice::compute(&family, 1).render_markdown();
-        for workers in [2, 4, 16] {
-            let parallel = Lattice::compute_par(&family, 1, workers).render_markdown();
-            assert_eq!(parallel, sequential, "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn compiled_walk_matches_the_legacy_matrix_and_rendering() {
         let n = n3();
         let family = zoo(n, 1);
@@ -1042,16 +908,5 @@ mod tests {
         let trace = certificate(cex);
         let reparsed: RunTrace = trace.to_string().parse().unwrap();
         assert_eq!(reparsed, trace);
-    }
-
-    #[test]
-    fn stealing_compute_matches_sequential_at_every_worker_count() {
-        let n = n3();
-        let family = zoo(n, 1);
-        let sequential = Lattice::compute(&family, 1).render_markdown();
-        for workers in [1, 2, 8] {
-            let stolen = Lattice::compute_stealing(&family, 1, workers).render_markdown();
-            assert_eq!(stolen, sequential, "workers = {workers}");
-        }
     }
 }

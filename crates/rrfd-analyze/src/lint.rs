@@ -15,20 +15,16 @@
 //!
 //! ```text
 //! round-closure crates/rrfd-sims/src/digest.rs fp:90f2a6f41f7b3a21  # keys probed, never iterated
-//! panic-family  crates/rrfd-core/src/task.rs   2                    # legacy budget (count)
 //! ```
 //!
-//! A **fingerprinted** entry pins exactly one finding by its span
-//! fingerprint — a hash of the pass, path, and normalized text of the
-//! flagged line (plus an occurrence index), so it survives unrelated
-//! line insertions above it and *expires* the moment the flagged code
-//! changes. A **legacy budget** entry tolerates up to N otherwise
-//! unmatched findings of that pass in that file; budgets are kept for
-//! migration and tests, the committed `lint.allow` is all-fingerprint.
+//! Each entry pins exactly one finding by its span fingerprint — a hash
+//! of the pass, path, and normalized text of the flagged line (plus an
+//! occurrence index), so it survives unrelated line insertions above it
+//! and *expires* the moment the flagged code changes.
 //!
-//! Findings matching neither kind of entry are violations. Entries
-//! matching nothing are "unused" notices — and hard failures under
-//! `--strict` (the CI default), so the allowlist can only shrink.
+//! Findings matching no entry are violations. Entries matching nothing
+//! are "unused" notices — and hard failures under `--strict` (the CI
+//! default), so the allowlist can only shrink.
 
 use crate::passes::{self, Finding};
 use crate::workspace;
@@ -36,28 +32,19 @@ use rrfd_core::LineError;
 use std::io;
 use std::path::Path;
 
-/// What an allowlist entry tolerates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AllowSpec {
-    /// Up to N findings of the pass in the file (legacy, line-count
-    /// style).
-    Budget(usize),
-    /// Exactly the finding with this `fp:…` span fingerprint.
-    Fingerprint(String),
-}
-
-/// One allowlist entry.
+/// One allowlist entry: pins the finding of `pass` in `path` whose
+/// span fingerprint is `fingerprint`.
 #[derive(Debug, Clone)]
 pub struct Allowance {
     /// The pass name (validated against the registry).
     pub pass: String,
     /// Workspace-relative path.
     pub path: String,
-    /// What the entry tolerates.
-    pub spec: AllowSpec,
+    /// The pinned finding's `fp:…` span fingerprint.
+    pub fingerprint: String,
 }
 
-/// Parses an allowlist: one `<pass> <path> <fp:…|count>` entry per
+/// Parses an allowlist: one `<pass> <path> fp:<16 hex>` entry per
 /// line, `#` comments, blank lines ignored. Pass names must be
 /// registered passes.
 ///
@@ -80,22 +67,18 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<Allowance>, LineError> {
                 return None;
             }
             let path = tokens.next()?.to_owned();
-            let spec = tokens.next()?;
-            let spec = if let Some(hex) = spec.strip_prefix("fp:") {
-                if hex.len() != 16 || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
-                    return None;
-                }
-                AllowSpec::Fingerprint(spec.to_owned())
-            } else {
-                AllowSpec::Budget(spec.parse().ok()?)
-            };
+            let fingerprint = tokens.next()?;
+            let hex = fingerprint.strip_prefix("fp:")?;
+            if hex.len() != 16 || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
+                return None;
+            }
             if tokens.next().is_some() {
                 return None;
             }
             Some(Allowance {
                 pass: pass.to_owned(),
                 path,
-                spec,
+                fingerprint: fingerprint.to_owned(),
             })
         })();
         match entry {
@@ -103,7 +86,7 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<Allowance>, LineError> {
             None => {
                 return Err(LineError::new(
                     line_no,
-                    format!("expected `<pass> <path> <fp:16-hex|count>`, got {line:?}"),
+                    format!("expected `<pass> <path> fp:<16 hex>`, got {line:?}"),
                 ))
             }
         }
@@ -114,11 +97,11 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<Allowance>, LineError> {
 /// The outcome of reconciling findings against an allowlist.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Findings exceeding their budget, or matched by no entry. Any
-    /// entry here means the pass fails.
+    /// Findings matched by no entry. Any entry here means the pass
+    /// fails.
     pub violations: Vec<String>,
-    /// Stale-allowlist observations: unused entries and under-used
-    /// budgets. Failures under `--strict`.
+    /// Stale-allowlist observations: entries matching no finding.
+    /// Failures under `--strict`.
     pub notices: Vec<String>,
 }
 
@@ -132,90 +115,27 @@ impl LintReport {
     }
 }
 
-/// Reconciles findings against the allowlist: fingerprint entries pin
-/// individual findings, budget entries cap the unmatched remainder.
+/// Reconciles findings against the allowlist: each entry pins at most
+/// one finding, and every unpinned finding is a violation.
 #[must_use]
 pub fn reconcile(findings: &[Finding], allowances: &[Allowance]) -> LintReport {
     let mut report = LintReport::default();
-    let mut fp_used = vec![false; allowances.len()];
-    // Group findings by (pass, path), preserving first-seen order.
-    let mut groups: Vec<(&str, &str, Vec<&Finding>)> = Vec::new();
-    for finding in findings {
-        match groups
-            .iter_mut()
-            .find(|(k, p, _)| *k == finding.pass && *p == finding.path)
-        {
-            Some((_, _, list)) => list.push(finding),
-            None => groups.push((finding.pass, &finding.path, vec![finding])),
+    let mut used = vec![false; allowances.len()];
+    for f in findings {
+        let pinned = allowances.iter().zip(&used).position(|(a, &used)| {
+            !used && a.pass == f.pass && a.path == f.path && a.fingerprint == f.fingerprint
+        });
+        match pinned {
+            Some(i) => used[i] = true,
+            None => report.violations.push(f.to_string()),
         }
     }
-    for (pass, path, list) in &groups {
-        // Partition: fingerprint-pinned findings are allowed.
-        let mut residual: Vec<&Finding> = Vec::new();
-        for f in list {
-            let pinned = allowances.iter().enumerate().find(|(i, a)| {
-                !fp_used[*i]
-                    && a.pass == *pass
-                    && a.path == *path
-                    && a.spec == AllowSpec::Fingerprint(f.fingerprint.clone())
-            });
-            match pinned {
-                Some((i, _)) => fp_used[i] = true,
-                None => residual.push(f),
-            }
-        }
-        let budget = allowances
-            .iter()
-            .find(|a| a.pass == *pass && a.path == *path && matches!(a.spec, AllowSpec::Budget(_)))
-            .and_then(|a| match a.spec {
-                AllowSpec::Budget(b) => Some(b),
-                AllowSpec::Fingerprint(_) => None,
-            });
-        match budget {
-            None => {
-                for f in residual {
-                    report.violations.push(f.to_string());
-                }
-            }
-            Some(budget) if residual.len() > budget => {
-                report.violations.push(format!(
-                    "{path}: {} `{pass}` findings exceed the allowlisted budget of {budget}:",
-                    residual.len()
-                ));
-                for f in residual {
-                    report.violations.push(format!("  {f}"));
-                }
-            }
-            Some(budget) if residual.len() < budget => {
-                report.notices.push(format!(
-                    "{path}: only {} `{pass}` findings against a budget of {budget} — \
-                     ratchet the allowlist down",
-                    residual.len()
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    for (i, a) in allowances.iter().enumerate() {
-        match &a.spec {
-            AllowSpec::Fingerprint(fp) => {
-                if !fp_used[i] {
-                    report.notices.push(format!(
-                        "unused allowlist entry: {} {} {fp} — the pinned finding no \
-                         longer exists; prune it",
-                        a.pass, a.path
-                    ));
-                }
-            }
-            AllowSpec::Budget(b) => {
-                let used = groups.iter().any(|(k, p, _)| *k == a.pass && *p == a.path);
-                if !used {
-                    report
-                        .notices
-                        .push(format!("unused allowlist entry: {} {} {b}", a.pass, a.path));
-                }
-            }
-        }
+    for (a, _) in allowances.iter().zip(&used).filter(|(_, used)| !**used) {
+        report.notices.push(format!(
+            "unused allowlist entry: {} {} {} — the pinned finding no longer exists; \
+             prune it",
+            a.pass, a.path, a.fingerprint
+        ));
     }
     report
 }
@@ -296,53 +216,58 @@ mod tests {
         }
     }
 
+    fn pin(f: &Finding) -> Allowance {
+        Allowance {
+            pass: f.pass.to_owned(),
+            path: f.path.clone(),
+            fingerprint: f.fingerprint.clone(),
+        }
+    }
+
     #[test]
-    fn allowlist_parses_both_entry_kinds_and_rejects_garbage() {
+    fn allowlist_parses_fingerprint_entries_and_rejects_garbage() {
         let entries = parse_allowlist(
             "# header comment\n\
              \n\
-             panic-family crates/rrfd-core/src/task.rs 2  # budget\n\
-             round-closure crates/rrfd-sims/src/digest.rs fp:0123456789abcdef\n",
+             round-closure crates/rrfd-sims/src/digest.rs fp:0123456789abcdef  # why\n",
         )
         .unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].spec, AllowSpec::Budget(2));
-        assert_eq!(
-            entries[1].spec,
-            AllowSpec::Fingerprint("fp:0123456789abcdef".to_owned())
-        );
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].pass, "round-closure");
+        assert_eq!(entries[0].path, "crates/rrfd-sims/src/digest.rs");
+        assert_eq!(entries[0].fingerprint, "fp:0123456789abcdef");
         let err = parse_allowlist("panic-family only-two\n").unwrap_err();
         assert_eq!(err.line, 1);
-        assert!(parse_allowlist("mystery-pass a/b.rs 1\n").is_err());
+        assert!(parse_allowlist("mystery-pass a/b.rs fp:0123456789abcdef\n").is_err());
         assert!(parse_allowlist("panic-family a/b.rs fp:short\n").is_err());
         assert!(parse_allowlist("panic-family a/b.rs fp:0123456789abcdeg\n").is_err());
+        // Numeric budgets are not an entry kind.
+        assert!(parse_allowlist("panic-family crates/rrfd-core/src/task.rs 2\n").is_err());
     }
 
     #[test]
     fn fingerprint_entries_pin_individual_findings() {
         let f1 = finding("panic-family", "a.rs", "x.unwrap();", 0);
         let f2 = finding("panic-family", "a.rs", "y.unwrap();", 0);
-        let allow = vec![Allowance {
-            pass: "panic-family".to_owned(),
-            path: "a.rs".to_owned(),
-            spec: AllowSpec::Fingerprint(f1.fingerprint.clone()),
-        }];
-        let report = reconcile(&[f1.clone(), f2.clone()], &allow);
+        let report = reconcile(&[f1.clone(), f2.clone()], &[pin(&f1)]);
         // f1 pinned, f2 unmatched.
         assert_eq!(report.violations.len(), 1);
         assert!(report.violations[0].contains(&f2.fingerprint), "{report:?}");
         assert!(report.notices.is_empty(), "{report:?}");
         // Both pinned: clean, no notices.
-        let allow2 = vec![
-            allow[0].clone(),
-            Allowance {
-                pass: "panic-family".to_owned(),
-                path: "a.rs".to_owned(),
-                spec: AllowSpec::Fingerprint(f2.fingerprint.clone()),
-            },
-        ];
-        let report2 = reconcile(&[f1, f2], &allow2);
+        let report2 = reconcile(&[f1.clone(), f2.clone()], &[pin(&f1), pin(&f2)]);
         assert!(report2.is_clean(true), "{report2:?}");
+    }
+
+    #[test]
+    fn each_entry_pins_one_occurrence() {
+        // Two findings on identical lines differ only in their
+        // occurrence index; one entry cannot pin both.
+        let first = finding("panic-family", "a.rs", "x.unwrap();", 0);
+        let second = finding("panic-family", "a.rs", "x.unwrap();", 1);
+        assert_ne!(first.fingerprint, second.fingerprint);
+        let report = reconcile(&[first.clone(), second], &[pin(&first)]);
+        assert_eq!(report.violations.len(), 1, "{report:?}");
     }
 
     #[test]
@@ -350,7 +275,7 @@ mod tests {
         let allow = vec![Allowance {
             pass: "panic-family".to_owned(),
             path: "a.rs".to_owned(),
-            spec: AllowSpec::Fingerprint("fp:00000000000000aa".to_owned()),
+            fingerprint: "fp:00000000000000aa".to_owned(),
         }];
         let report = reconcile(&[], &allow);
         assert!(report.violations.is_empty());
@@ -358,52 +283,6 @@ mod tests {
         assert!(report.notices[0].contains("unused"), "{report:?}");
         assert!(report.is_clean(false));
         assert!(!report.is_clean(true));
-    }
-
-    #[test]
-    fn budgets_keep_legacy_semantics() {
-        let f = vec![
-            finding("panic-family", "a.rs", "x.unwrap();", 0),
-            finding("panic-family", "a.rs", "x.unwrap();", 1),
-        ];
-        let budget = |b: usize| {
-            vec![Allowance {
-                pass: "panic-family".to_owned(),
-                path: "a.rs".to_owned(),
-                spec: AllowSpec::Budget(b),
-            }]
-        };
-        assert_eq!(reconcile(&f, &[]).violations.len(), 2);
-        let exact = reconcile(&f, &budget(2));
-        assert!(exact.is_clean(true), "{exact:?}");
-        let over = reconcile(&f, &budget(1));
-        assert!(!over.is_clean(false));
-        let under = reconcile(&f, &budget(5));
-        assert!(under.is_clean(false) && !under.is_clean(true));
-        assert!(under.notices[0].contains("ratchet"), "{under:?}");
-        let unused = reconcile(&[], &budget(1));
-        assert!(unused.notices[0].contains("unused"), "{unused:?}");
-    }
-
-    #[test]
-    fn fingerprints_and_budgets_compose() {
-        // One pinned finding plus one budgeted stranger: clean.
-        let f1 = finding("panic-family", "a.rs", "x.unwrap();", 0);
-        let f2 = finding("panic-family", "a.rs", "y.unwrap();", 0);
-        let allow = vec![
-            Allowance {
-                pass: "panic-family".to_owned(),
-                path: "a.rs".to_owned(),
-                spec: AllowSpec::Fingerprint(f1.fingerprint.clone()),
-            },
-            Allowance {
-                pass: "panic-family".to_owned(),
-                path: "a.rs".to_owned(),
-                spec: AllowSpec::Budget(1),
-            },
-        ];
-        let report = reconcile(&[f1, f2], &allow);
-        assert!(report.is_clean(true), "{report:?}");
     }
 
     #[test]

@@ -88,27 +88,13 @@ pub const EXPLORE_SCHEDULES: &str = "rrfd_explore_schedules_total";
 pub const EXPLORE_DECISION_POINTS: &str = "rrfd_explore_decision_points_total";
 /// Gauge: deepest decision sequence any explored schedule reached.
 pub const EXPLORE_MAX_DEPTH: &str = "rrfd_explore_max_depth";
-/// Counter: subtrees skipped by converged-state memoization
-/// (`explore_par` hash pruning).
-pub const EXPLORE_PRUNED_HASH: &str = "rrfd_explore_pruned_by_hash_total";
-/// Counter: branches skipped by process-id symmetry reduction
-/// (`explore_par`, opt-in).
-pub const EXPLORE_PRUNED_SYMMETRY: &str = "rrfd_explore_pruned_by_symmetry_total";
 /// Gauge: worker threads the exploration ran on.
 pub const EXPLORE_WORKERS: &str = "rrfd_explore_workers";
-/// Counter: independent subtree jobs the schedule tree was split into.
-pub const EXPLORE_SPLITS: &str = "rrfd_explore_splits_total";
-/// Gauge: distinct states the converged-state memos retained, summed over
-/// jobs (`0` with pruning off or for the sequential explorers).
+/// Gauge: distinct keys the DPOR explorer's class and prefix dedup tables
+/// retained (`0` for the sequential explorers).
 pub const EXPLORE_MEMO_ENTRIES: &str = "rrfd_explore_memo_entries";
-/// Gauge: state-encoding bytes the memos retained, summed over jobs.
+/// Gauge: key-encoding bytes those dedup tables retained.
 pub const EXPLORE_MEMO_BYTES: &str = "rrfd_explore_memo_bytes";
-/// Gauge: `1` when any job's memo hit its entry or byte cap and stopped
-/// inserting (degraded pruning), else `0`.
-pub const EXPLORE_MEMO_SATURATED: &str = "rrfd_explore_memo_saturated";
-/// Counter: fresh states the memo caps refused to retain (degrade-path
-/// re-explorations — distinct from, and never inflating, hash prunes).
-pub const EXPLORE_MEMO_DEGRADED: &str = "rrfd_explore_memo_degraded_total";
 /// Counter: maximal execution graphs the DPOR explorer ran to completion
 /// (one per Mazurkiewicz trace class reached).
 pub const EXPLORE_GRAPHS: &str = "rrfd_explore_graphs_total";

@@ -1,8 +1,7 @@
 //! A shared round clock: lets observers outside the computation watch a
 //! threaded run's progress without participating in it.
 
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 #[derive(Debug, Default)]
@@ -37,28 +36,50 @@ impl RoundClock {
         RoundClock::default()
     }
 
+    /// Locks the clock state. The state is two plain fields that every
+    /// critical section leaves consistent, so a poisoned lock is safe to
+    /// recover.
+    fn state(&self) -> MutexGuard<'_, ClockState> {
+        self.inner.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks while `pending` holds for the clock state, for at most
+    /// `timeout` in total, and returns the state it stopped at.
+    fn wait_while(
+        &self,
+        timeout: Duration,
+        pending: impl FnMut(&mut ClockState) -> bool,
+    ) -> MutexGuard<'_, ClockState> {
+        let (state, _) = self
+            .inner
+            .1
+            .wait_timeout_while(self.state(), timeout, pending)
+            .unwrap_or_else(PoisonError::into_inner);
+        state
+    }
+
     /// The last completed round (0 before the first round completes).
     #[must_use]
     pub fn current_round(&self) -> u32 {
-        self.inner.0.lock().round
+        self.state().round
     }
 
     /// `true` once the run has finished.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.inner.0.lock().finished
+        self.state().finished
     }
 
     /// Marks round `round` as completed and wakes waiters.
     pub fn advance(&self, round: u32) {
-        let mut state = self.inner.0.lock();
+        let mut state = self.state();
         state.round = state.round.max(round);
         self.inner.1.notify_all();
     }
 
     /// Marks the run as finished and wakes waiters.
     pub fn finish(&self) {
-        let mut state = self.inner.0.lock();
+        let mut state = self.state();
         state.finished = true;
         self.inner.1.notify_all();
     }
@@ -67,26 +88,16 @@ impl RoundClock {
     /// Returns `true` when the round was reached.
     #[must_use]
     pub fn wait_for_round(&self, round: u32, timeout: Duration) -> bool {
-        let mut state = self.inner.0.lock();
-        while state.round < round && !state.finished {
-            if self.inner.1.wait_for(&mut state, timeout).timed_out() {
-                break;
-            }
-        }
-        state.round >= round
+        self.wait_while(timeout, |s| s.round < round && !s.finished)
+            .round
+            >= round
     }
 
     /// Blocks until the run finishes, or `timeout` elapses. Returns `true`
     /// when finished.
     #[must_use]
     pub fn wait_finished(&self, timeout: Duration) -> bool {
-        let mut state = self.inner.0.lock();
-        while !state.finished {
-            if self.inner.1.wait_for(&mut state, timeout).timed_out() {
-                break;
-            }
-        }
-        state.finished
+        self.wait_while(timeout, |s| !s.finished).finished
     }
 }
 

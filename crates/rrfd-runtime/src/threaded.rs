@@ -12,13 +12,13 @@
 //! that RRFD systems are *executable* designs, not just proof devices —
 //! experiment E13 runs Theorem 3.1 end to end on threads.
 
-use crossbeam::channel::{self, Receiver, Sender};
 use rrfd_core::{validate_round, FaultDetector};
 use rrfd_core::{
     Control, Delivery, FaultPattern, IdSet, PatternViolation, ProcessId, Round, RoundProtocol,
     RrfdPredicate, RunTrace, SystemSize, TraceBuilder, TraceOutcome,
 };
 use std::fmt;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread;
 use std::time::Duration;
 
@@ -484,14 +484,14 @@ impl ThreadedEngine {
             return (Err(error), TraceOutcome::Aborted);
         }
 
-        let (emit_tx, emit_rx): EmissionChannel<P::Msg, P::Output> = channel::unbounded();
+        let (emit_tx, emit_rx): EmissionChannel<P::Msg, P::Output> = mpsc::channel();
 
         let mut reply_txs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for (i, mut protocol) in protocols.into_iter().enumerate() {
             let me = ProcessId::new(i);
             let emit_tx = emit_tx.clone();
-            let (reply_tx, reply_rx): ReplyChannel<P::Msg> = channel::unbounded();
+            let (reply_tx, reply_rx): ReplyChannel<P::Msg> = mpsc::channel();
             reply_txs.push(reply_tx);
             let sink = self.sink.clone();
             handles.push(thread::spawn(move || {

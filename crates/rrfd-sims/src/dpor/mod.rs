@@ -1,7 +1,8 @@
-//! Dynamic partial-order reduction (DPOR): exploration v2.
+//! Dynamic partial-order reduction (DPOR): the workspace's schedule
+//! explorer.
 //!
-//! The legacy explorers ([`crate::explore`], [`crate::explore_par`])
-//! enumerate scheduler *interleavings*; most of them differ only in the
+//! The tree walker ([`crate::explore`], kept as the reference oracle)
+//! enumerates scheduler *interleavings*; most of them differ only in the
 //! order of commuting steps and reach the same outcome. This module
 //! rebuilds exploration around **execution graphs**: a completed run is
 //! a set of events partially ordered by happens-before (program order
@@ -33,12 +34,12 @@
 //! the configured worker count is identical across worker counts, and
 //! the counterexample — the failing class with the smallest canonical
 //! key — is too. Certificates remain replayable
-//! [`crate::trace::ScheduleTrace`]s, interchangeable with the legacy
-//! explorers' output.
+//! [`crate::trace::ScheduleTrace`]s, interchangeable with the tree
+//! walker's output.
 //!
-//! Unlike the legacy memoized walker, DPOR never digests *states*, only
-//! event sequences — so it soundly explores protocols with opaque oracle
-//! state that [`crate::explore_par`] could not memoize.
+//! DPOR never digests *states*, only event sequences — so it soundly
+//! explores protocols with opaque oracle state (the k-set objects of
+//! [`crate::shared_mem`]) that no state memo could identify.
 
 pub mod graph;
 pub mod pool;
@@ -83,9 +84,8 @@ impl DporConfig {
         }
     }
 
-    /// Worker count from the [`WORKERS_ENV`] environment variable
-    /// (shared with the legacy parallel explorer), falling back to the
-    /// machine's available parallelism.
+    /// Worker count from the [`WORKERS_ENV`] environment variable,
+    /// falling back to the machine's available parallelism.
     #[must_use]
     pub fn from_env() -> Self {
         let workers = std::env::var(WORKERS_ENV)
@@ -96,9 +96,8 @@ impl DporConfig {
         DporConfig::new(workers)
     }
 
-    /// Overrides the trace-class guard (the analogue of the legacy
-    /// explorers' `max_runs`/`max_schedules`, counting classes instead
-    /// of interleavings). A search that meets more classes than this
+    /// Overrides the trace-class guard (the analogue of the tree
+    /// walker's `max_runs`, counting classes instead of interleavings). A search that meets more classes than this
     /// returns [`DporError::ClassLimit`].
     #[must_use]
     pub fn max_schedules(mut self, max: usize) -> Self {

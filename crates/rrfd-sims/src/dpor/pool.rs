@@ -1,10 +1,10 @@
 //! A dependency-free work-stealing deque pool.
 //!
 //! The DPOR driver produces work dynamically: executing one graph yields
-//! race-reversal revisits, each of which is a new graph to execute. The
-//! legacy explorer's fixed prefix-depth splitting cannot express that — it
-//! needs the whole job list up front — so the revisit queue is distributed
-//! over per-worker deques instead:
+//! race-reversal revisits, each of which is a new graph to execute. A
+//! fixed split of the schedule tree at some prefix depth cannot express
+//! that — it needs the whole job list up front — so the revisit queue is
+//! distributed over per-worker deques instead:
 //!
 //! * each worker owns a LIFO deque: children it spawns are pushed locally
 //!   and popped newest-first, keeping exploration depth-first and the

@@ -28,11 +28,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// What the DPOR driver needs from an execution state. The contract
-/// mirrors the legacy explorer's `Explorable`, minus state digests (DPOR
-/// identifies classes by event sequences, so it works on protocols whose
-/// states are not soundly digestible) and plus traced application: every
-/// apply reports the [`Access`] footprint it left behind.
+/// What the DPOR driver needs from an execution state: enabled options,
+/// traced application (every apply reports the [`Access`] footprint it
+/// left behind), and the completed-run report. No state digest is
+/// needed: classes are identified by event sequences, so this works on
+/// protocols whose states are not soundly digestible.
 pub(crate) trait DporTarget: Sized + Clone {
     /// Scheduler event type, replayable through [`ScheduleTrace`].
     type Event: SchedEvent + Send + Sync;
@@ -193,7 +193,7 @@ where
         {
             let mut prefixes = prefix_memo.lock().expect("prefix memo poisoned");
             for (key, child) in item.children {
-                if prefixes.insert(key).is_fresh() {
+                if prefixes.insert(key) {
                     revisits += 1;
                     spawn.push(child);
                 } else {
@@ -319,11 +319,10 @@ where
         .map(|e| lines.intern(e.event))
         .collect();
     let canon_lines = || canon.iter().map(|&k| slots[k].clone());
-    if class_memo
+    if !class_memo
         .lock()
         .expect("class memo poisoned")
         .insert(lines.key(canon_lines()))
-        .is_duplicate()
     {
         stats.sleep_set_blocked += 1;
         return out(stats, None, Vec::new());

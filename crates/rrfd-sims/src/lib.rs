@@ -20,19 +20,13 @@
 //!   §5 (atomic receive/broadcast steps, synchronous broadcast delivery).
 //! * [`detector_s`] — the S-augmented asynchronous system of §2 item 6.
 //! * [`explore`] — exhaustive schedule enumeration for small shared-memory
-//!   instances (turns sampled tests into proofs-by-enumeration).
-//! * [`explore_par`] — the work-distributing, pruned form of the same
-//!   search: the schedule tree is split at a prefix depth into independent
-//!   subtree jobs on `std::thread` workers, with converged-state
-//!   memoization (via the [`digest`] seam) and opt-in process-id symmetry
-//!   reduction. Deprecated in favour of [`dpor`].
-//! * [`dpor`] — exploration v2: dynamic partial-order reduction over
+//!   and semi-synchronous instances (turns sampled tests into
+//!   proofs-by-enumeration); the reference oracle for [`dpor`].
+//! * [`dpor`] — dynamic partial-order reduction over
 //!   execution graphs (events partially ordered by happens-before, via
 //!   [`rrfd_core::hb`] vector clocks), exploring one representative per
 //!   Mazurkiewicz trace class, distributed over a work-stealing deque
 //!   pool with worker-count-independent results.
-//! * [`digest`] — canonical state encodings ([`digest::StateDigest`]) and
-//!   the collision-safe dedup table backing the explorer's hash pruning.
 //! * [`admissibility`] — compiled-plane admissibility checks
 //!   ([`rrfd_core::ProgramBatch`] over [`rrfd_core::RrfdPredicate::compile`])
 //!   for the explorers' per-run `check` closures: one streaming pass per
@@ -50,10 +44,9 @@ pub mod admissibility;
 pub mod async_net;
 pub mod async_rounds;
 pub mod detector_s;
-pub mod digest;
+mod digest;
 pub mod dpor;
 pub mod explore;
-pub mod explore_par;
 pub mod instrument;
 pub mod semi_sync;
 pub mod shared_mem;

@@ -21,10 +21,9 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-/// One instruction of the scripted protocol (same interpreter as the
-/// legacy suite in `explore_equivalence.rs`, minus the `StateDigest`
-/// bound — the DPOR explorer keys trace classes on event sequences, so
-/// it needs no digest at all).
+/// One instruction of the scripted protocol. The DPOR explorer keys
+/// trace classes on event sequences, so the process state needs no
+/// digest at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
     /// Write this value to the process's own cell of bank 0.
@@ -168,9 +167,9 @@ proptest! {
 }
 
 /// A broadcast-once, decide-after-`rounds`-steps semi-synchronous
-/// process, deciding on how many distinct processes it heard from (same
-/// shape as the legacy suite's adversary target: the crash budget is the
-/// data nondeterminism race reversals alone cannot reach).
+/// process, deciding on how many distinct processes it heard from (the
+/// crash budget is the data nondeterminism race reversals alone cannot
+/// reach).
 #[derive(Debug, Clone)]
 struct Hearer {
     rounds: u64,

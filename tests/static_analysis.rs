@@ -3,16 +3,16 @@
 //! * the seeded fixture tree under `tests/fixtures/static_analysis/`
 //!   fires all nine passes (and the unfenced fixture crate fires none
 //!   of the fence-gated ones);
-//! * the five lexer-ported lints reproduce the frozen line-oriented
-//!   scanner (`rrfd_analyze::legacy`) finding-for-finding on that tree;
+//! * the five lexer-ported lints reproduce the findings of the retired
+//!   line-oriented scanner, frozen as goldens under `tests/fixtures/`
+//!   (`legacy_lint_*.golden`), finding-for-finding;
 //! * span fingerprints survive unrelated line insertions and expire
 //!   when the flagged code changes;
 //! * the allowlist lifecycle: malformed entries are parse errors, stale
 //!   entries are ratchet notices, and notices fail under `--strict`;
 //! * the real workspace plus `lint.allow` is clean under `--strict`.
 
-use rrfd_analyze::legacy;
-use rrfd_analyze::lint::{self, AllowSpec, Allowance};
+use rrfd_analyze::lint::{self, Allowance};
 use rrfd_analyze::passes::{self, Finding};
 use rrfd_analyze::syntax::SourceFile;
 use rrfd_analyze::workspace::{self, Fence};
@@ -75,15 +75,19 @@ fn lock_order_reports_the_seeded_cycle() {
     assert!(cycles[0].message.contains("beta"), "{}", cycles[0].message);
 }
 
-/// The legacy crate-name fences, mapped onto the fixture crates so the
-/// frozen scanner applies the same rules the framework derives from
-/// `Cargo.toml` metadata.
-fn legacy_alias(crate_name: &str) -> &'static str {
-    match crate_name {
-        "fixture-protocols" => "rrfd-protocols", // deterministic
-        "fixture-runtime" => "rrfd-runtime",     // instrumented + message-plane
-        _ => "fixture-plain",                    // unfenced either way
-    }
+/// Reads a frozen golden, sorted: one whitespace-separated finding per
+/// line, `#` comment lines skipped. The goldens hold the findings of the
+/// retired line-oriented scanner, one per (pass, line).
+fn read_golden(name: &str) -> Vec<Vec<String>> {
+    let text = std::fs::read_to_string(repo_root().join("tests/fixtures").join(name))
+        .expect("golden file");
+    let mut golden: Vec<Vec<String>> = text
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| l.split_whitespace().map(str::to_owned).collect())
+        .collect();
+    golden.sort();
+    golden
 }
 
 #[test]
@@ -99,34 +103,16 @@ fn ported_lints_reproduce_the_legacy_scanner_on_the_fixture_tree() {
         "direct-index",
         "msg-clone",
     ];
-    let mut framework: Vec<(String, String, usize)> = passes::run_all(&files)
+    let mut framework: Vec<Vec<String>> = passes::run_all(&files)
         .into_iter()
         .filter(|f| legacy_pass_names.contains(&f.pass))
-        .map(|f| (f.pass.to_owned(), f.path, f.line))
+        .map(|f| vec![f.pass.to_owned(), f.path, f.line.to_string()])
         .collect();
     framework.sort();
 
-    let mut legacy_findings = Vec::new();
-    for info in &crates {
-        let src_dir = info.dir.join("src");
-        for entry in std::fs::read_dir(&src_dir).expect("src dir") {
-            let path = entry.expect("dir entry").path();
-            if path.extension().is_some_and(|e| e == "rs") {
-                let text = std::fs::read_to_string(&path).expect("fixture source");
-                let rel = workspace::relative_display(&root, &path);
-                legacy::scan_file(legacy_alias(&info.name), &rel, &text, &mut legacy_findings);
-            }
-        }
-    }
-    let mut golden: Vec<(String, String, usize)> = legacy_findings
-        .into_iter()
-        .map(|f| (f.kind.name().to_owned(), f.path, f.line))
-        .collect();
-    golden.sort();
-    golden.dedup(); // the framework counts one finding per (pass, line)
-
     assert_eq!(
-        framework, golden,
+        framework,
+        read_golden("legacy_lint_tree.golden"),
         "lexer-ported lints diverged from the frozen scanner"
     );
 }
@@ -154,27 +140,13 @@ mod tests {\n\
         &[Fence::Deterministic, Fence::MessagePlane],
         src.to_owned(),
     );
-    let mut framework: Vec<(String, usize)> = passes::run_all(&[file])
+    let mut framework: Vec<Vec<String>> = passes::run_all(&[file])
         .into_iter()
-        .map(|f| (f.pass.to_owned(), f.line))
+        .map(|f| vec![f.pass.to_owned(), f.line.to_string()])
         .collect();
     framework.sort();
 
-    let mut legacy_findings = Vec::new();
-    legacy::scan_file(
-        "rrfd-sims",
-        "crates/rrfd-sims/src/frozen.rs",
-        src,
-        &mut legacy_findings,
-    );
-    let mut golden: Vec<(String, usize)> = legacy_findings
-        .into_iter()
-        .map(|f| (f.kind.name().to_owned(), f.line))
-        .collect();
-    golden.sort();
-    golden.dedup();
-
-    assert_eq!(framework, golden);
+    assert_eq!(framework, read_golden("legacy_lint_tricky.golden"));
     assert_eq!(framework.len(), 2, "{framework:?}"); // unwrap + table clone
 }
 
@@ -201,14 +173,16 @@ fn fingerprints_survive_unrelated_insertions_and_expire_on_change() {
 #[test]
 fn malformed_allowlists_are_parse_errors() {
     // Unknown pass name.
-    let err = lint::parse_allowlist("no-such-pass crates/x/src/a.rs 1\n").unwrap_err();
+    let err =
+        lint::parse_allowlist("no-such-pass crates/x/src/a.rs fp:0123456789abcdef\n").unwrap_err();
     assert_eq!(err.line, 1);
     // Bad fingerprint (wrong length).
     assert!(lint::parse_allowlist("panic-family crates/x/src/a.rs fp:abc\n").is_err());
     // Missing column.
     assert!(lint::parse_allowlist("panic-family crates/x/src/a.rs\n").is_err());
     // Trailing junk.
-    let err = lint::parse_allowlist("# fine\npanic-family a.rs 1 extra\n").unwrap_err();
+    let err =
+        lint::parse_allowlist("# fine\npanic-family a.rs fp:0123456789abcdef extra\n").unwrap_err();
     assert_eq!(err.line, 2);
     // Comments and blanks are fine.
     assert!(lint::parse_allowlist("# only comments\n\n")
@@ -222,12 +196,12 @@ fn stale_allowlist_entries_are_notices_and_fail_strict() {
     let pinned = Allowance {
         pass: "panic-family".to_owned(),
         path: finding.path.clone(),
-        spec: AllowSpec::Fingerprint(finding.fingerprint.clone()),
+        fingerprint: finding.fingerprint.clone(),
     };
     let stale = Allowance {
         pass: "msg-clone".to_owned(),
         path: "crates/gone/src/lib.rs".to_owned(),
-        spec: AllowSpec::Budget(2),
+        fingerprint: "fp:0123456789abcdef".to_owned(),
     };
 
     // Pin alone: clean even under strict.
@@ -237,7 +211,7 @@ fn stale_allowlist_entries_are_notices_and_fail_strict() {
     );
     assert!(report.is_clean(true), "{report:#?}");
 
-    // Pin plus a stale budget: clean lax, dirty strict.
+    // Pin plus a stale entry: clean lax, dirty strict.
     let report = lint::reconcile(std::slice::from_ref(&finding), &[pinned, stale]);
     assert!(report.violations.is_empty(), "{report:#?}");
     assert_eq!(report.notices.len(), 1, "{report:#?}");
