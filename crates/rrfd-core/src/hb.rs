@@ -1,12 +1,12 @@
-//! Happens-before machinery shared by the analysis and exploration layers.
+//! Happens-before machinery for the analysis layer.
 //!
 //! A [`VectorClock`] over `k` actors orders events by causality: event `a`
 //! happens-before event `b` exactly when `a`'s clock is pointwise ≤ `b`'s.
 //! The race checker in `rrfd-analyze` uses clocks over
-//! `coordinator + processes`; the DPOR explorer in `rrfd-sims` uses clocks
-//! over the process universe of one simulated run. Both need the same four
-//! operations — `tick`, `join`, `le`, `concurrent_with` — so the type lives
-//! here, on the crate every other layer already depends on.
+//! `coordinator + processes`, through four operations — `tick`, `join`,
+//! `le`, `concurrent_with`. The DPOR explorer in `rrfd-sims` applies the
+//! same rule but stores its clocks flat, one buffer per execution graph,
+//! so that recording an event allocates nothing.
 
 /// A vector clock over a fixed universe of `k` actors.
 ///

@@ -3,8 +3,11 @@
 //!
 //! One complete run of a simulator is recorded as a sequence of events,
 //! each carrying the shared-state footprint ([`Access`]) its application
-//! reported and a [`VectorClock`] positioning it in the happens-before
-//! partial order. Two events *conflict* when swapping them can change the
+//! reported and a vector clock positioning it in the happens-before
+//! partial order. The clocks of all events live in one flat buffer, so
+//! recording an event allocates nothing once the graph has grown to a
+//! run's length, and [`ExecutionGraph::clear`] keeps that capacity for
+//! the next run. Two events *conflict* when swapping them can change the
 //! run's outcome; happens-before is the transitive closure of program
 //! order and conflict order. Everything the DPOR driver derives from a
 //! run — the class identity, the race list, the revisit prefixes — is
@@ -14,7 +17,6 @@
 //! deterministic across worker counts.
 
 use crate::trace::SchedEvent;
-use rrfd_core::hb::VectorClock;
 use rrfd_core::ProcessId;
 use std::fmt;
 
@@ -130,7 +132,8 @@ impl Access {
 
 /// One event of a recorded execution: the scheduler event itself, the
 /// process it names, the footprint its application reported, and its
-/// position in happens-before.
+/// position in its process's program order. Its vector clock is
+/// [`ExecutionGraph::clock`].
 #[derive(Debug, Clone)]
 pub struct ExecEvent<E> {
     /// The scheduler event, replayable through the simulator.
@@ -139,12 +142,8 @@ pub struct ExecEvent<E> {
     pub pid: ProcessId,
     /// The shared-state footprint the application reported.
     pub access: Access,
-    /// Vector clock: `a.clock.le(&b.clock)` iff `a` happens-before `b`
-    /// (or `a == b`). Component `q` counts the events of process `q` in
-    /// this event's causal past, itself included.
-    pub clock: VectorClock,
     /// Position of this event in its process's program order, from 1 —
-    /// equal to `clock.get(pid)`.
+    /// equal to component `pid` of its clock.
     pub seq: u64,
 }
 
@@ -154,6 +153,9 @@ pub struct ExecEvent<E> {
 pub struct ExecutionGraph<E> {
     n: usize,
     events: Vec<ExecEvent<E>>,
+    /// Vector clocks, `n` components per event: `clocks[k * n..][..n]`
+    /// is the clock of event `k`.
+    clocks: Vec<u64>,
     /// Event indices of each process in program order: `chains[p][s - 1]`
     /// is the event of `p` with `seq == s`.
     chains: Vec<Vec<usize>>,
@@ -166,7 +168,18 @@ impl<E: SchedEvent> ExecutionGraph<E> {
         ExecutionGraph {
             n,
             events: Vec::new(),
+            clocks: Vec::new(),
             chains: vec![Vec::new(); n],
+        }
+    }
+
+    /// Removes every event, keeping the allocated capacity for the next
+    /// run over the same processes.
+    pub fn clear(&mut self) {
+        self.events.clear();
+        self.clocks.clear();
+        for chain in &mut self.chains {
+            chain.clear();
         }
     }
 
@@ -174,6 +187,19 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     #[must_use]
     pub fn events(&self) -> &[ExecEvent<E>] {
         &self.events
+    }
+
+    /// The vector clock of event `k`: component `q` counts the events of
+    /// process `q` in its causal past, itself included, so event `i`
+    /// happens-before event `j` (or `i == j`) iff `clock(i) ≤ clock(j)`
+    /// componentwise.
+    ///
+    /// # Panics
+    ///
+    /// When `k` is not an event index.
+    #[must_use]
+    pub fn clock(&self, k: usize) -> &[u64] {
+        &self.clocks[k * self.n..(k + 1) * self.n]
     }
 
     /// Number of recorded events.
@@ -190,18 +216,21 @@ impl<E: SchedEvent> ExecutionGraph<E> {
 
     /// Records an applied event. Its clock is the join of the process's
     /// program-order predecessor and every earlier conflicting event,
-    /// ticked at `pid` — so `le` between clocks decides happens-before.
+    /// ticked at `pid` — so componentwise `≤` between clocks decides
+    /// happens-before.
     ///
     /// Only the latest conflicting event of each other process is joined:
     /// an earlier one precedes it in program order, so its clock is
     /// already below. The backward scan of a process's chain stops at the
     /// first event the clock already covers, for the same reason.
     pub fn push(&mut self, event: E, pid: ProcessId, access: Access) {
-        let p = pid.index();
-        let mut clock = match self.chains[p].last() {
-            Some(&last) => self.events[last].clock.clone(),
-            None => VectorClock::zero(self.n),
-        };
+        let (n, p) = (self.n, pid.index());
+        let at = self.clocks.len();
+        match self.chains[p].last() {
+            Some(&last) => self.clocks.extend_from_within(last * n..(last + 1) * n),
+            None => self.clocks.resize(at + n, 0),
+        }
+        let (prior_clocks, clock) = self.clocks.split_at_mut(at);
         for (q, chain) in self.chains.iter().enumerate() {
             if q == p {
                 continue;
@@ -209,21 +238,21 @@ impl<E: SchedEvent> ExecutionGraph<E> {
             let latest = chain
                 .iter()
                 .rev()
-                .map(|&k| &self.events[k])
-                .take_while(|prior| prior.seq > clock.get(q))
-                .find(|prior| prior.access.conflicts(access));
-            if let Some(prior) = latest {
-                clock.join(&prior.clock);
+                .take_while(|&&k| self.events[k].seq > clock[q])
+                .find(|&&k| self.events[k].access.conflicts(access));
+            if let Some(&k) = latest {
+                for (mine, &theirs) in clock.iter_mut().zip(&prior_clocks[k * n..(k + 1) * n]) {
+                    *mine = (*mine).max(theirs);
+                }
             }
         }
-        clock.tick(p);
-        let seq = clock.get(p);
+        clock[p] += 1;
+        let seq = clock[p];
         self.chains[p].push(self.events.len());
         self.events.push(ExecEvent {
             event,
             pid,
             access,
-            clock,
             seq,
         });
     }
@@ -234,13 +263,15 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     /// `clock_j[pid_i]` events.
     #[must_use]
     pub fn hb(&self, i: usize, j: usize) -> bool {
-        let (a, b) = (&self.events[i], &self.events[j]);
-        i != j && b.clock.get(a.pid.index()) >= a.seq
+        let a = &self.events[i];
+        i != j && self.clocks[j * self.n + a.pid.index()] >= a.seq
     }
 
-    /// The canonical linearization of this run's trace class: a greedy
-    /// topological sort of happens-before that always emits the
-    /// hb-available event of the smallest process id.
+    /// Writes the canonical linearization of this run's trace class into
+    /// `order` (replacing its contents): a greedy topological sort of
+    /// happens-before that always emits the hb-available event of the
+    /// smallest process id. `emitted` is scratch space for the per-process
+    /// frontier; both buffers are only reused, never retained.
     ///
     /// Program order makes each process a chain, so only the head of a
     /// process (its first event not yet emitted) can be available. The
@@ -255,27 +286,27 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     /// and the same happens-before order, hence the same canonical
     /// linearization — its digest identifies the class, and data derived
     /// from it is a pure function of the class.
-    #[must_use]
-    pub fn canonical_order(&self) -> Vec<usize> {
-        let mut emitted = vec![0usize; self.n];
-        let mut order = Vec::with_capacity(self.events.len());
+    pub fn canonical_order(&self, order: &mut Vec<usize>, emitted: &mut Vec<usize>) {
+        order.clear();
+        emitted.clear();
+        emitted.resize(self.n, 0);
         let ready_head = |p: usize, emitted: &[usize]| {
             let head = *self.chains[p].get(emitted[p])?;
-            let clock = &self.events[head].clock;
+            let clock = self.clock(head);
             (0..self.n)
-                .all(|q| q == p || clock.get(q) <= emitted[q] as u64)
+                .all(|q| q == p || clock[q] <= emitted[q] as u64)
                 .then_some(head)
         };
         while let Some((p, head)) =
-            (0..self.n).find_map(|p| ready_head(p, &emitted).map(|head| (p, head)))
+            (0..self.n).find_map(|p| ready_head(p, emitted).map(|head| (p, head)))
         {
             emitted[p] += 1;
             order.push(head);
         }
-        order
     }
 
-    /// Reversible races of this run, as index pairs `(i, j)` into
+    /// Writes the reversible races of this run into `races` (replacing
+    /// its contents), as index pairs `(i, j)` into
     /// [`ExecutionGraph::events`]: conflicting events of different
     /// processes with `i` happens-before `j` and no third event between
     /// them in the order (`i →hb k →hb j`). Reversing such a pair is the
@@ -287,9 +318,8 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     /// is the same for every linearization of the class. Pairs are listed
     /// by `i`, then `j`; since `i →hb j` implies `i` executed first, only
     /// `j > i` is tested.
-    #[must_use]
-    pub fn reversible_races(&self) -> Vec<(usize, usize)> {
-        let mut races = Vec::new();
+    pub fn reversible_races(&self, races: &mut Vec<(usize, usize)>) {
+        races.clear();
         for (i, a) in self.events.iter().enumerate() {
             for (j, b) in self.events.iter().enumerate().skip(i + 1) {
                 if a.pid != b.pid
@@ -301,7 +331,6 @@ impl<E: SchedEvent> ExecutionGraph<E> {
                 }
             }
         }
-        races
     }
 
     /// Whether some event `k` has `i →hb k →hb j`. Every such `k` is at
@@ -310,10 +339,11 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     /// (`hb` is strict, so the latest event being `i` itself does not
     /// count). So only those ≤ n latest events are tested: O(n).
     fn mediated(&self, i: usize, j: usize) -> bool {
-        let b = &self.events[j];
+        let own = self.events[j].pid.index();
+        let clock = self.clock(j);
         self.chains.iter().enumerate().any(|(q, chain)| {
             // q's latest event in j's strict causal past, if any.
-            let past = b.clock.get(q) as usize - usize::from(q == b.pid.index());
+            let past = clock[q] as usize - usize::from(q == own);
             let Some(&k) = past.checked_sub(1).and_then(|s| chain.get(s)) else {
                 return false;
             };
@@ -344,9 +374,22 @@ mod tests {
     use super::*;
     use crate::semi_sync::SemiSyncEvent;
     use crate::shared_mem::MemEvent;
+    use rrfd_core::hb::VectorClock;
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    fn canonical_order<E: SchedEvent>(g: &ExecutionGraph<E>) -> Vec<usize> {
+        let mut order = Vec::new();
+        g.canonical_order(&mut order, &mut Vec::new());
+        order
+    }
+
+    fn reversible_races<E: SchedEvent>(g: &ExecutionGraph<E>) -> Vec<(usize, usize)> {
+        let mut races = Vec::new();
+        g.reversible_races(&mut races);
+        races
     }
 
     /// Reference clocks, built the direct way: each event joins its
@@ -487,8 +530,9 @@ mod tests {
     fn assert_matches_reference<E: SchedEvent>(g: &ExecutionGraph<E>, label: &str) {
         let clocks = reference_clocks(g);
         for (j, b) in g.events().iter().enumerate() {
-            assert_eq!(b.clock, clocks[j], "{label}: clock of event {j}");
-            assert_eq!(b.seq, b.clock.get(b.pid.index()), "{label}: seq of {j}");
+            let expected: Vec<u64> = (0..g.n()).map(|q| clocks[j].get(q)).collect();
+            assert_eq!(g.clock(j), expected, "{label}: clock of event {j}");
+            assert_eq!(b.seq, clocks[j].get(b.pid.index()), "{label}: seq of {j}");
             for i in 0..g.len() {
                 assert_eq!(
                     g.hb(i, j),
@@ -497,7 +541,7 @@ mod tests {
                 );
             }
         }
-        let canon = g.canonical_order();
+        let canon = canonical_order(g);
         assert_eq!(canon, reference_canonical_order(g), "{label}: order");
         let mut pos = vec![usize::MAX; g.len()];
         for (at, &k) in canon.iter().enumerate() {
@@ -511,7 +555,7 @@ mod tests {
             }
         }
         assert_eq!(
-            g.reversible_races(),
+            reversible_races(g),
             reference_reversible_races(g),
             "{label}: races"
         );
@@ -527,41 +571,61 @@ mod tests {
                 ev[i].pid != ev[j].pid && ev[i].access.conflicts(ev[j].access) && g.hb(i, j)
             })
             .count();
-        ordered - g.reversible_races().len()
+        ordered - reversible_races(g).len()
     }
 
+    /// Records `len` random shared-memory events into `g`.
+    fn push_mem_events(g: &mut ExecutionGraph<MemEvent>, rng: &mut SplitMix, len: usize) {
+        for _ in 0..len {
+            let p = rng.below(g.n());
+            let access = mem_access(rng, g.n(), p);
+            g.push(MemEvent::Step(pid(p)), pid(p), access);
+        }
+    }
+
+    /// Records `len` random semi-synchronous events into `g`.
+    fn push_semi_events(g: &mut ExecutionGraph<SemiSyncEvent>, rng: &mut SplitMix, len: usize) {
+        for _ in 0..len {
+            let p = rng.below(g.n());
+            let access = semi_access(rng);
+            let event = if access == Access::Crash {
+                SemiSyncEvent::Crash(pid(p))
+            } else {
+                SemiSyncEvent::Step(pid(p))
+            };
+            g.push(event, pid(p), access);
+        }
+    }
+
+    /// Every seeded graph is built into a graph that already held a
+    /// different random run and was then cleared, so stale clocks,
+    /// chains or capacity from an earlier run cannot leak into the
+    /// kernels.
     #[test]
     fn kernels_match_the_reference_on_random_graphs() {
         let mut rng = SplitMix(0x5EED_D0A5);
+        let mut residue = SplitMix(0xD1FF_E4E7);
         let (mut races, mut mediated) = (0, 0);
         for round in 0..400 {
             let n = 2 + rng.below(7);
             let len = rng.below(49);
             let label = format!("graph {round} (n = {n}, len = {len})");
+            let earlier = residue.below(49);
             if round % 2 == 0 {
                 let mut g = ExecutionGraph::new(n);
-                for _ in 0..len {
-                    let p = rng.below(n);
-                    let access = mem_access(&mut rng, n, p);
-                    g.push(MemEvent::Step(pid(p)), pid(p), access);
-                }
+                push_mem_events(&mut g, &mut residue, earlier);
+                g.clear();
+                push_mem_events(&mut g, &mut rng, len);
                 assert_matches_reference(&g, &label);
-                races += g.reversible_races().len();
+                races += reversible_races(&g).len();
                 mediated += mediated_pairs(&g);
             } else {
                 let mut g = ExecutionGraph::new(n);
-                for _ in 0..len {
-                    let p = rng.below(n);
-                    let access = semi_access(&mut rng);
-                    let event = if access == Access::Crash {
-                        SemiSyncEvent::Crash(pid(p))
-                    } else {
-                        SemiSyncEvent::Step(pid(p))
-                    };
-                    g.push(event, pid(p), access);
-                }
+                push_semi_events(&mut g, &mut residue, earlier);
+                g.clear();
+                push_semi_events(&mut g, &mut rng, len);
                 assert_matches_reference(&g, &label);
-                races += g.reversible_races().len();
+                races += reversible_races(&g).len();
                 mediated += mediated_pairs(&g);
             }
         }
@@ -642,13 +706,11 @@ mod tests {
             Access::Write { bank: 0, owner: 0 },
         );
 
-        let canon_ab: Vec<MemEvent> = ab
-            .canonical_order()
+        let canon_ab: Vec<MemEvent> = canonical_order(&ab)
             .into_iter()
             .map(|i| ab.events()[i].event)
             .collect();
-        let canon_ba: Vec<MemEvent> = ba
-            .canonical_order()
+        let canon_ba: Vec<MemEvent> = canonical_order(&ba)
             .into_iter()
             .map(|i| ba.events()[i].event)
             .collect();
@@ -672,7 +734,7 @@ mod tests {
         );
         assert!(g.hb(0, 1));
         assert!(!g.hb(1, 0));
-        assert_eq!(g.reversible_races(), vec![(0, 1)]);
+        assert_eq!(reversible_races(&g), vec![(0, 1)]);
     }
 
     #[test]
@@ -693,7 +755,7 @@ mod tests {
             Access::Write { bank: 0, owner: 1 },
         );
         g.push(MemEvent::Step(pid(2)), pid(2), Access::Snapshot { bank: 0 });
-        let races = g.reversible_races();
+        let races = reversible_races(&g);
         assert!(races.contains(&(0, 1)), "write/snap adjacency races");
         assert!(races.contains(&(2, 3)));
         assert!(
@@ -716,6 +778,6 @@ mod tests {
             Access::Write { bank: 1, owner: 0 },
         );
         assert!(g.hb(0, 1));
-        assert!(g.reversible_races().is_empty());
+        assert!(reversible_races(&g).is_empty());
     }
 }

@@ -6,8 +6,8 @@
 //! order of commuting steps and reach the same outcome. This module
 //! rebuilds exploration around **execution graphs**: a completed run is
 //! a set of events partially ordered by happens-before (program order
-//! plus conflict order, tracked with the same vector clocks the race
-//! checker in `rrfd-analyze` uses — [`rrfd_core::hb`]). Runs with the
+//! plus conflict order, tracked with vector clocks that the graph stores
+//! as one flat `u64` buffer, [`ExecutionGraph::clock`]). Runs with the
 //! same graph form one *Mazurkiewicz trace class* and are outcome-
 //! equivalent, so the explorer visits **one representative per class**:
 //!
@@ -26,8 +26,14 @@
 //!    *choice* prefix. Children are derived from the canonical form, so
 //!    they are a pure function of the class.
 //! 4. Fresh prefixes (deduplicated again, by content) become new work
-//!    items, distributed over a vendored work-stealing deque pool
+//!    items, distributed over a dependency-free work-stealing deque pool
 //!    ([`StealPool`]).
+//!
+//! Each pool worker keeps one scratch — simulator state, graph, option,
+//! order and race buffers, event lines, key bytes — and reuses it for
+//! every item it processes. An item allocates only what it hands on: a
+//! key the memo did not hold yet, and the event sequence of a fresh
+//! child.
 //!
 //! Because the explored set is the closure of a pure `children`
 //! function, every reported number except [`ExploreStats::steals`] and
@@ -144,6 +150,11 @@ where
             exec: self.exec.clone(),
         }
     }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.exec.clone_from(&source.exec);
+    }
 }
 
 impl<P, V> DporTarget for MemDporTarget<P, V>
@@ -163,12 +174,13 @@ where
         self.n
     }
 
-    fn options(&self) -> Vec<MemEvent> {
-        self.exec.runnable().iter().map(MemEvent::Step).collect()
+    fn options(&self, into: &mut Vec<MemEvent>) {
+        into.clear();
+        into.extend(self.exec.runnable().iter().map(MemEvent::Step));
     }
 
-    fn alternatives(&self) -> Vec<MemEvent> {
-        Vec::new()
+    fn alternatives(&self, into: &mut Vec<MemEvent>) {
+        into.clear();
     }
 
     fn apply_traced(&mut self, event: MemEvent) -> Access {
@@ -219,6 +231,12 @@ impl<P: SemiSyncProcess + Clone> Clone for SemiDporTarget<P> {
             exec: self.exec.clone(),
         }
     }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.crash_budget = source.crash_budget;
+        self.exec.clone_from(&source.exec);
+    }
 }
 
 impl<P> DporTarget for SemiDporTarget<P>
@@ -240,21 +258,20 @@ where
     /// Mirrors the sequential walker's option order: step each live
     /// process in id order, then (budget and liveness permitting) crash
     /// each.
-    fn options(&self) -> Vec<SemiSyncEvent> {
+    fn options(&self, into: &mut Vec<SemiSyncEvent>) {
         let live = self.exec.live();
-        let mut opts: Vec<SemiSyncEvent> = live.iter().map(SemiSyncEvent::Step).collect();
+        into.clear();
+        into.extend(live.iter().map(SemiSyncEvent::Step));
         if self.crash_budget > 0 && live.len() > 1 {
-            opts.extend(live.iter().map(SemiSyncEvent::Crash));
+            into.extend(live.iter().map(SemiSyncEvent::Crash));
         }
-        opts
     }
 
-    fn alternatives(&self) -> Vec<SemiSyncEvent> {
+    fn alternatives(&self, into: &mut Vec<SemiSyncEvent>) {
         let live = self.exec.live();
+        into.clear();
         if self.crash_budget > 0 && live.len() > 1 {
-            live.iter().map(SemiSyncEvent::Crash).collect()
-        } else {
-            Vec::new()
+            into.extend(live.iter().map(SemiSyncEvent::Crash));
         }
     }
 
@@ -636,6 +653,82 @@ mod tests {
                 heard: std::collections::BTreeSet::new(),
             })
             .collect()
+    }
+
+    /// Fails every run in which a crash was scheduled.
+    fn no_crash(report: &SemiSyncReport<Hearer>) -> Result<(), String> {
+        if report.crashed.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("crashed {:?}", report.crashed))
+        }
+    }
+
+    /// Fails every run in which `p0` read `p1`'s write.
+    fn p0_missed(report: &MemRunReport<WriteRead, u64>) -> Result<(), String> {
+        match &report.outputs[0] {
+            Some(Some(2)) => Err("p0 observed p1's write".to_owned()),
+            _ => Ok(()),
+        }
+    }
+
+    #[test]
+    fn reused_scratch_matches_a_fresh_one_item_by_item() {
+        let semi = SemiSyncSim::new(size(3));
+        let root = SemiDporTarget {
+            n: 3,
+            crash_budget: 1,
+            exec: SemiSyncExecution::start(&semi, hearers(3)).unwrap(),
+        };
+        let items = revisit::assert_scratch_reuse_is_invisible(&root, &no_crash);
+        assert!(items > 20, "the crash closure has many items: {items}");
+
+        // The three-process ring, failing the classes where p0 saw p2.
+        let mem = SharedMemSim::new(size(3), 1);
+        let ring = (0..3)
+            .map(|i| WriteReadRing {
+                me: ProcessId::new(i),
+            })
+            .collect();
+        let root = MemDporTarget {
+            n: 3,
+            exec: MemExecution::start(&mem, ring).unwrap(),
+        };
+        let p0_missed_p2 = |report: &MemRunReport<WriteReadRing, u64>| match report.outputs[0] {
+            Some(Some(2)) => Err("p0 observed p2's write".to_owned()),
+            _ => Ok(()),
+        };
+        let items = revisit::assert_scratch_reuse_is_invisible(&root, &p0_missed_p2);
+        assert!(items > 5, "the ring has several items: {items}");
+    }
+
+    #[test]
+    fn back_to_back_explorations_match_separate_runs() {
+        let semi = SemiSyncSim::new(size(3));
+        let mem = SharedMemSim::new(size(2), 1);
+        let config = DporConfig::new(1);
+        let semi_run = || {
+            format!(
+                "{:?}",
+                explore_semi_sync_dpor(&semi, 1, || hearers(3), no_crash, &config)
+            )
+        };
+        let mem_run = || {
+            format!(
+                "{:?}",
+                explore_shared_mem_dpor(&mem, make_pair, p0_missed, &config)
+            )
+        };
+        let separate = std::thread::scope(|s| {
+            let semi = s.spawn(semi_run);
+            let mem = s.spawn(mem_run);
+            (semi.join().unwrap(), mem.join().unwrap())
+        });
+        assert!(separate.0.contains("Counterexample"), "{}", separate.0);
+        assert!(separate.1.contains("Counterexample"), "{}", separate.1);
+        for round in 0..2 {
+            assert_eq!((semi_run(), mem_run()), separate, "round {round}");
+        }
     }
 
     #[test]

@@ -19,13 +19,23 @@
 //!   keying every outcome on content (canonical trace classes), never on
 //!   worker identity, so replays are deterministic across worker counts.
 //!
-//! The pool itself is generic: `rrfd-analyze`'s lattice distributes its
-//! (static) implication-pair jobs over the same scheduler.
+//! Each worker also owns a *scratch* value, built once per worker by the
+//! caller's `init` and handed to every job that worker processes, so
+//! buffers a job needs are reused rather than allocated per job.
+//!
+//! # Lock poisoning
+//!
+//! Every lock here is taken with `unwrap_or_else(PoisonError::into_inner)`,
+//! and that is total: `process` runs under `catch_unwind` with no deque
+//! lock held, and every critical section in the pool only moves jobs, so
+//! a guard is never poisoned mid-update. When a job does panic, the pool
+//! stops, joins every worker and re-raises the first payload — so no
+//! result computed through a poisoned guard is ever returned.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// What the pool observed while draining a run. Steal counts are the one
 /// genuinely timing-dependent quantity the explorer reports; everything
@@ -61,10 +71,15 @@ impl StealPool {
 
     /// Drains `seeds` and everything `process` spawns from them.
     ///
-    /// `process` receives one job plus a spawn buffer; jobs pushed into
-    /// the buffer are enqueued on the processing worker's own deque
-    /// (LIFO). Seeds are dealt round-robin across the deques. The call
-    /// returns once every job — seeded or spawned — has been processed.
+    /// Each worker calls `init` once, on its own thread, for a scratch
+    /// value it then lends to every job it processes. `process` receives
+    /// that scratch, one job, and a spawn buffer; jobs pushed into the
+    /// buffer are enqueued on the processing worker's own deque (LIFO).
+    /// Seeds are dealt round-robin across the deques. The call returns
+    /// once every job — seeded or spawned — has been processed.
+    ///
+    /// The scratch must not carry results from one job to the next:
+    /// which jobs share a worker is timing-dependent.
     ///
     /// Results must be collected through state captured by `process`
     /// (e.g. a `Mutex<Vec<_>>`), keyed by job *content*, never by worker
@@ -75,10 +90,11 @@ impl StealPool {
     ///
     /// If `process` panics, remaining workers stop at their next claim,
     /// every thread is joined, and the first payload is re-raised.
-    pub fn run<J, F>(&self, seeds: Vec<J>, process: F) -> PoolStats
+    pub fn run<J, S, I, F>(&self, seeds: Vec<J>, init: I, process: F) -> PoolStats
     where
         J: Send,
-        F: Fn(J, &mut Vec<J>) + Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, J, &mut Vec<J>) + Sync,
     {
         let workers = self.workers;
         let deques: Vec<Mutex<VecDeque<J>>> =
@@ -87,7 +103,7 @@ impl StealPool {
         for (i, seed) in seeds.into_iter().enumerate() {
             deques[i % workers]
                 .lock()
-                .expect("seed deque poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .push_back(seed);
         }
         let steals = AtomicU64::new(0);
@@ -101,45 +117,53 @@ impl StealPool {
                 let steals = &steals;
                 let poisoned = &poisoned;
                 let payload = &payload;
-                let process = &process;
-                scope.spawn(move || loop {
-                    if poisoned.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let job = claim(w, deques, steals);
-                    let Some(job) = job else {
-                        if pending.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
+                let (init, process) = (&init, &process);
+                scope.spawn(move || {
+                    let mut scratch = init();
                     let mut spawned = Vec::new();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| process(job, &mut spawned)));
-                    match outcome {
-                        Ok(()) => {
-                            if !spawned.is_empty() {
-                                pending.fetch_add(spawned.len(), Ordering::AcqRel);
-                                let mut own = deques[w].lock().expect("worker deque poisoned");
-                                own.extend(spawned);
-                            }
-                            pending.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        Err(p) => {
-                            payload
-                                .lock()
-                                .expect("payload mutex poisoned")
-                                .get_or_insert(p);
-                            poisoned.store(true, Ordering::Release);
-                            pending.fetch_sub(1, Ordering::AcqRel);
+                    loop {
+                        if poisoned.load(Ordering::Acquire) {
                             break;
+                        }
+                        let job = claim(w, deques, steals);
+                        let Some(job) = job else {
+                            if pending.load(Ordering::Acquire) == 0 {
+                                break;
+                            }
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            process(&mut scratch, job, &mut spawned);
+                        }));
+                        match outcome {
+                            Ok(()) => {
+                                if !spawned.is_empty() {
+                                    pending.fetch_add(spawned.len(), Ordering::AcqRel);
+                                    deques[w]
+                                        .lock()
+                                        .unwrap_or_else(PoisonError::into_inner)
+                                        .extend(spawned.drain(..));
+                                }
+                                pending.fetch_sub(1, Ordering::AcqRel);
+                            }
+                            Err(p) => {
+                                payload
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .get_or_insert(p);
+                                poisoned.store(true, Ordering::Release);
+                                pending.fetch_sub(1, Ordering::AcqRel);
+                                break;
+                            }
                         }
                     }
                 });
             }
         });
 
-        if let Some(p) = payload.lock().expect("payload mutex poisoned").take() {
+        let payload = payload.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some(p) = payload {
             resume_unwind(p);
         }
         PoolStats {
@@ -152,14 +176,21 @@ impl StealPool {
 /// Pops from `w`'s own deque (LIFO), falling back to stealing half of the
 /// first non-empty victim in frozen order `w+1, w+2, …`.
 fn claim<J>(w: usize, deques: &[Mutex<VecDeque<J>>], steals: &AtomicU64) -> Option<J> {
-    if let Some(job) = deques[w].lock().expect("worker deque poisoned").pop_back() {
+    let own = &deques[w];
+    if let Some(job) = own
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .pop_back()
+    {
         return Some(job);
     }
     let workers = deques.len();
     for offset in 1..workers {
         let victim = (w + offset) % workers;
         let mut batch = {
-            let mut vq = deques[victim].lock().expect("victim deque poisoned");
+            let mut vq = deques[victim]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let len = vq.len();
             if len == 0 {
                 continue;
@@ -171,9 +202,8 @@ fn claim<J>(w: usize, deques: &[Mutex<VecDeque<J>>], steals: &AtomicU64) -> Opti
         steals.fetch_add(1, Ordering::AcqRel);
         let first = batch.pop_front();
         if !batch.is_empty() {
-            deques[w]
-                .lock()
-                .expect("worker deque poisoned")
+            own.lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .extend(batch);
         }
         return first;
@@ -190,10 +220,14 @@ mod tests {
     fn drains_static_seeds_once_each() {
         let hits = TestCounter::new(0);
         let sum = TestCounter::new(0);
-        let stats = StealPool::new(4).run((1..=100u64).collect(), |job, _spawn| {
-            hits.fetch_add(1, Ordering::SeqCst);
-            sum.fetch_add(job, Ordering::SeqCst);
-        });
+        let stats = StealPool::new(4).run(
+            (1..=100u64).collect(),
+            || (),
+            |(), job, _spawn| {
+                hits.fetch_add(1, Ordering::SeqCst);
+                sum.fetch_add(job, Ordering::SeqCst);
+            },
+        );
         assert_eq!(hits.load(Ordering::SeqCst), 100);
         assert_eq!(sum.load(Ordering::SeqCst), 5050);
         assert_eq!(stats.workers, 4);
@@ -204,22 +238,26 @@ mod tests {
         // Each job n spawns n-1 and n-2 down to 0: the pool must drain the
         // whole recursion tree, not just the seed.
         let hits = TestCounter::new(0);
-        StealPool::new(3).run(vec![6u32], |job, spawn| {
-            hits.fetch_add(1, Ordering::SeqCst);
-            if job >= 1 {
-                spawn.push(job - 1);
-            }
-            if job >= 2 {
-                spawn.push(job - 2);
-            }
-        });
+        StealPool::new(3).run(
+            vec![6u32],
+            || (),
+            |(), job, spawn| {
+                hits.fetch_add(1, Ordering::SeqCst);
+                if job >= 1 {
+                    spawn.push(job - 1);
+                }
+                if job >= 2 {
+                    spawn.push(job - 2);
+                }
+            },
+        );
         // Tree size for this recursion from 6: 1 + fib-like expansion.
         assert!(hits.load(Ordering::SeqCst) > 6);
     }
 
     #[test]
     fn single_worker_needs_no_stealing() {
-        let stats = StealPool::new(1).run(vec![1, 2, 3], |_job: u8, _spawn| {});
+        let stats = StealPool::new(1).run(vec![1, 2, 3], || (), |(), _job: u8, _spawn| {});
         assert_eq!(stats.steals, 0);
         assert_eq!(stats.workers, 1);
     }
@@ -227,22 +265,51 @@ mod tests {
     #[test]
     fn zero_workers_clamps_to_one() {
         let hits = TestCounter::new(0);
-        let stats = StealPool::new(0).run(vec![()], |(), _spawn| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
+        let stats = StealPool::new(0).run(
+            vec![()],
+            || (),
+            |(), (), _spawn| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            },
+        );
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(stats.workers, 1);
+    }
+
+    #[test]
+    fn scratch_is_built_once_per_worker_and_reused() {
+        let inits = TestCounter::new(0);
+        let jobs = TestCounter::new(0);
+        StealPool::new(2).run(
+            (0..50u32).collect(),
+            || {
+                inits.fetch_add(1, Ordering::SeqCst);
+                Vec::<u32>::new()
+            },
+            |seen, job, _spawn| {
+                seen.push(job);
+                jobs.fetch_add(seen.len() as u64, Ordering::SeqCst);
+            },
+        );
+        assert_eq!(inits.load(Ordering::SeqCst), 2);
+        // Each job adds how many jobs its worker has seen so far: with
+        // reuse that sums to more than one per job.
+        assert!(jobs.load(Ordering::SeqCst) > 50);
     }
 
     #[test]
     fn panicking_job_drains_and_rethrows() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            StealPool::new(4).run((0..64u32).collect(), |job, _spawn| {
-                if job == 13 {
-                    panic!("boom");
-                }
-            });
+            StealPool::new(4).run(
+                (0..64u32).collect(),
+                || (),
+                |(), job, _spawn| {
+                    if job == 13 {
+                        panic!("boom");
+                    }
+                },
+            );
         }))
         .unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom"));

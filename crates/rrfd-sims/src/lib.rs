@@ -24,7 +24,7 @@
 //!   proofs-by-enumeration); the reference oracle for [`dpor`].
 //! * [`dpor`] — dynamic partial-order reduction over
 //!   execution graphs (events partially ordered by happens-before, via
-//!   [`rrfd_core::hb`] vector clocks), exploring one representative per
+//!   vector clocks stored flat in the graph), exploring one representative per
 //!   Mazurkiewicz trace class, distributed over a work-stealing deque
 //!   pool with worker-count-independent results.
 //! * [`admissibility`] — compiled-plane admissibility checks

@@ -253,6 +253,19 @@ where
             processes: self.processes.clone(),
         }
     }
+
+    /// Reuses this execution's buffers (inboxes included): the DPOR
+    /// explorer resets one state per work item this way.
+    fn clone_from(&mut self, source: &Self) {
+        self.sim.clone_from(&source.sim);
+        self.inboxes.clone_from(&source.inboxes);
+        self.outputs.clone_from(&source.outputs);
+        self.step_counts.clone_from(&source.step_counts);
+        self.crashed = source.crashed;
+        self.total_steps = source.total_steps;
+        self.events = source.events;
+        self.processes.clone_from(&source.processes);
+    }
 }
 
 impl<P: SemiSyncProcess> SemiSyncExecution<P> {
