@@ -15,6 +15,16 @@
 //! which the run happened to be executed. That makes the derived data a
 //! pure function of the trace class, which is what keeps the exploration
 //! deterministic across worker counts.
+//!
+//! Conflicts are found through a *conflict index* instead of a scan of
+//! earlier events. Every footprint is published to one or two conflict
+//! objects — a cell's read or write side, a bank's snapshots or writes,
+//! an oracle object, a semi-synchronous event class — and joins the
+//! objects holding the events it conflicts with. The index keeps the
+//! latest event of each process on each object, so recording an event
+//! finds the latest conflicting event of every other process in
+//! O(objects·n), and those are also the only candidates for a reversible
+//! race with it.
 
 use crate::trace::SchedEvent;
 use rrfd_core::ProcessId;
@@ -128,6 +138,174 @@ impl Access {
             _ => false,
         }
     }
+
+    /// The conflict-index table: the objects an event with this footprint
+    /// joins, and the objects it is published to. `a.conflicts(b)` holds
+    /// exactly when `a` joins an object `b` is published to (and, the
+    /// relation being symmetric, the other way round).
+    fn objects(self) -> Objects {
+        use Access::{
+            Broadcast, BroadcastDecide, Crash, Decide, Local, Oracle, Read, Snapshot, Write,
+        };
+        // The five semi-synchronous event classes.
+        const L: Object = Object { family: 0, row: 0 };
+        const B: Object = Object { family: 0, row: 1 };
+        const D: Object = Object { family: 0, row: 2 };
+        const BD: Object = Object { family: 0, row: 3 };
+        const C: Object = Object { family: 0, row: 4 };
+        match self {
+            Write { bank, owner } => Objects::new(
+                &[Object::cell_reads(bank, owner), Object::snapshots(bank)],
+                &[Object::cell_writes(bank, owner), Object::bank_writes(bank)],
+            ),
+            Read { bank, owner } => Objects::new(
+                &[Object::cell_writes(bank, owner)],
+                &[Object::cell_reads(bank, owner)],
+            ),
+            Snapshot { bank } => {
+                Objects::new(&[Object::bank_writes(bank)], &[Object::snapshots(bank)])
+            }
+            Oracle { object } => Objects::new(&[Object::oracle(object)], &[Object::oracle(object)]),
+            Local => Objects::new(&[B, BD], &[L]),
+            Broadcast => Objects::new(&[L, B, D, BD], &[B]),
+            Decide => Objects::new(&[B, BD, C], &[D]),
+            BroadcastDecide => Objects::new(&[L, B, D, BD, C], &[BD]),
+            Crash => Objects::new(&[D, BD, C], &[C]),
+        }
+    }
+}
+
+/// A conflict object, addressed by the row that holds it in the
+/// [`ConflictIndex`]: family 0 holds the five semi-synchronous event
+/// classes (`Local`, `Broadcast`, `Decide`, `BroadcastDecide`, `Crash`),
+/// family 1 the oracle objects, family 2 each bank's snapshots and
+/// writes, and family `3 + bank` each cell of `bank`, read side then
+/// write side. Rows are dense in the bank, owner and object ids, which
+/// the simulators draw from their own cell and oracle vectors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Object {
+    family: usize,
+    row: usize,
+}
+
+impl Object {
+    fn oracle(object: usize) -> Object {
+        Object {
+            family: 1,
+            row: object,
+        }
+    }
+
+    fn snapshots(bank: usize) -> Object {
+        Object {
+            family: 2,
+            row: bank.saturating_mul(2),
+        }
+    }
+
+    fn bank_writes(bank: usize) -> Object {
+        Object {
+            family: 2,
+            row: bank.saturating_mul(2).saturating_add(1),
+        }
+    }
+
+    fn cell_reads(bank: usize, owner: usize) -> Object {
+        Object {
+            family: bank.saturating_add(3),
+            row: owner.saturating_mul(2),
+        }
+    }
+
+    fn cell_writes(bank: usize, owner: usize) -> Object {
+        Object {
+            family: bank.saturating_add(3),
+            row: owner.saturating_mul(2).saturating_add(1),
+        }
+    }
+}
+
+/// One row of [`Access::objects`]: at most five objects joined and two
+/// published to.
+#[derive(Debug, Clone, Copy)]
+struct Objects {
+    joined: [Object; 5],
+    joins: usize,
+    published: [Object; 2],
+    publishes: usize,
+}
+
+impl Objects {
+    fn new(joined: &[Object], published: &[Object]) -> Objects {
+        const UNUSED: Object = Object { family: 0, row: 0 };
+        let (joins, publishes) = (joined.len().min(5), published.len().min(2));
+        let mut objects = Objects {
+            joined: [UNUSED; 5],
+            joins,
+            published: [UNUSED; 2],
+            publishes,
+        };
+        objects.joined[..joins].copy_from_slice(&joined[..joins]);
+        objects.published[..publishes].copy_from_slice(&published[..publishes]);
+        objects
+    }
+
+    fn joined(&self) -> &[Object] {
+        &self.joined[..self.joins]
+    }
+
+    fn published(&self) -> &[Object] {
+        &self.published[..self.publishes]
+    }
+}
+
+/// The latest event of each process on each conflict object, as rows of
+/// `n + 1` slots: slot `q < n` of an object's row is one plus the index
+/// of the latest event of process `q` published to it, and slot `n` the
+/// same for the latest event of any process; 0 when there is none. Slot
+/// `n` lets a lookup skip an object no event was published to.
+#[derive(Debug, Clone, Default)]
+struct ConflictIndex {
+    families: Vec<Vec<usize>>,
+}
+
+impl ConflictIndex {
+    /// The per-process slots of `object`, if any event was published to
+    /// it.
+    fn row(&self, object: Object, n: usize) -> Option<&[usize]> {
+        let start = object.row.checked_mul(n + 1)?;
+        let row = self
+            .families
+            .get(object.family)?
+            .get(start..start.checked_add(n + 1)?)?;
+        let (&any, row) = row.split_last()?;
+        (any != 0).then_some(row)
+    }
+
+    /// Records event `k` of process `q` as the latest of `q` on `object`.
+    /// Sizes saturate, so an id too large to address fails the
+    /// allocation instead of wrapping onto another object's row.
+    fn publish(&mut self, object: Object, n: usize, q: usize, k: usize) {
+        if self.families.len() <= object.family {
+            self.families
+                .resize_with(object.family.saturating_add(1), Vec::new);
+        }
+        let family = &mut self.families[object.family];
+        let start = object.row.saturating_mul(n + 1);
+        let end = start.saturating_add(n + 1);
+        if family.len() < end {
+            family.resize(end, 0);
+        }
+        family[start + q] = k + 1;
+        family[start + n] = k + 1;
+    }
+
+    /// Forgets every event, keeping the rows allocated.
+    fn clear(&mut self) {
+        for family in &mut self.families {
+            family.fill(0);
+        }
+    }
 }
 
 /// One event of a recorded execution: the scheduler event itself, the
@@ -159,6 +337,11 @@ pub struct ExecutionGraph<E> {
     /// Event indices of each process in program order: `chains[p][s - 1]`
     /// is the event of `p` with `seq == s`.
     chains: Vec<Vec<usize>>,
+    /// The latest conflicting event of each other process at the time
+    /// each event was recorded, `n` slots per event like `clocks`: one
+    /// plus its index, 0 when there is none.
+    latest_conflicts: Vec<usize>,
+    index: ConflictIndex,
 }
 
 impl<E: SchedEvent> ExecutionGraph<E> {
@@ -170,6 +353,8 @@ impl<E: SchedEvent> ExecutionGraph<E> {
             events: Vec::new(),
             clocks: Vec::new(),
             chains: vec![Vec::new(); n],
+            latest_conflicts: Vec::new(),
+            index: ConflictIndex::default(),
         }
     }
 
@@ -181,6 +366,8 @@ impl<E: SchedEvent> ExecutionGraph<E> {
         for chain in &mut self.chains {
             chain.clear();
         }
+        self.latest_conflicts.clear();
+        self.index.clear();
     }
 
     /// The recorded events, in execution order.
@@ -221,34 +408,53 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     ///
     /// Only the latest conflicting event of each other process is joined:
     /// an earlier one precedes it in program order, so its clock is
-    /// already below. The backward scan of a process's chain stops at the
-    /// first event the clock already covers, for the same reason.
+    /// already below. The conflict index hands over exactly those events,
+    /// the latest of each process on every object the footprint joins, in
+    /// O(objects·n); one the clock already covers is not joined again.
+    ///
+    /// # Panics
+    ///
+    /// When `pid` is not below [`ExecutionGraph::n`], or a bank, owner or
+    /// oracle id is too large for its row of the conflict index to be
+    /// allocated (the index is dense in those ids).
     pub fn push(&mut self, event: E, pid: ProcessId, access: Access) {
         let (n, p) = (self.n, pid.index());
-        let at = self.clocks.len();
+        let (k, at) = (self.events.len(), self.clocks.len());
         match self.chains[p].last() {
             Some(&last) => self.clocks.extend_from_within(last * n..(last + 1) * n),
             None => self.clocks.resize(at + n, 0),
         }
-        let (prior_clocks, clock) = self.clocks.split_at_mut(at);
-        for (q, chain) in self.chains.iter().enumerate() {
-            if q == p {
-                continue;
+        self.latest_conflicts.resize(at + n, 0);
+        let latest = &mut self.latest_conflicts[at..];
+        let objects = access.objects();
+        for row in objects
+            .joined()
+            .iter()
+            .filter_map(|&o| self.index.row(o, n))
+        {
+            for (mine, &theirs) in latest.iter_mut().zip(row) {
+                *mine = (*mine).max(theirs);
             }
-            let latest = chain
-                .iter()
-                .rev()
-                .take_while(|&&k| self.events[k].seq > clock[q])
-                .find(|&&k| self.events[k].access.conflicts(access));
-            if let Some(&k) = latest {
-                for (mine, &theirs) in clock.iter_mut().zip(&prior_clocks[k * n..(k + 1) * n]) {
+        }
+        // Own earlier events are program order, not conflicts.
+        latest[p] = 0;
+        let (prior_clocks, clock) = self.clocks.split_at_mut(at);
+        for (q, &slot) in latest.iter().enumerate() {
+            let Some(i) = slot.checked_sub(1) else {
+                continue;
+            };
+            if self.events[i].seq > clock[q] {
+                for (mine, &theirs) in clock.iter_mut().zip(&prior_clocks[i * n..(i + 1) * n]) {
                     *mine = (*mine).max(theirs);
                 }
             }
         }
         clock[p] += 1;
         let seq = clock[p];
-        self.chains[p].push(self.events.len());
+        for &object in objects.published() {
+            self.index.publish(object, n, p, k);
+        }
+        self.chains[p].push(k);
         self.events.push(ExecEvent {
             event,
             pid,
@@ -316,21 +522,29 @@ impl<E: SchedEvent> ExecutionGraph<E> {
     ///
     /// The definition mentions only the partial order, so the race list
     /// is the same for every linearization of the class. Pairs are listed
-    /// by `i`, then `j`; since `i →hb j` implies `i` executed first, only
-    /// `j > i` is tested.
+    /// by `i`, then `j`.
+    ///
+    /// The candidates for `j` are the ≤ n − 1 events [`ExecutionGraph::push`]
+    /// found as the latest conflicting event of each other process: each
+    /// happens before `j`, and an earlier conflicting event `i'` of the
+    /// same process is mediated by the latest one (`i' →hb i →hb j`). So
+    /// each event costs at most n − 1 O(n) mediation tests.
     pub fn reversible_races(&self, races: &mut Vec<(usize, usize)>) {
         races.clear();
-        for (i, a) in self.events.iter().enumerate() {
-            for (j, b) in self.events.iter().enumerate().skip(i + 1) {
-                if a.pid != b.pid
-                    && a.access.conflicts(b.access)
-                    && self.hb(i, j)
-                    && !self.mediated(i, j)
-                {
-                    races.push((i, j));
-                }
-            }
+        for (j, latest) in self
+            .latest_conflicts
+            .chunks_exact(self.n.max(1))
+            .enumerate()
+        {
+            races.extend(
+                latest
+                    .iter()
+                    .filter_map(|&slot| slot.checked_sub(1))
+                    .filter(|&i| !self.mediated(i, j))
+                    .map(|i| (i, j)),
+            );
         }
+        races.sort_unstable();
     }
 
     /// Whether some event `k` has `i →hb k →hb j`. Every such `k` is at
@@ -493,21 +707,23 @@ mod tests {
     }
 
     /// A footprint of the shared-memory substrate for process `p`, over
-    /// two banks and two oracle objects so that conflicts are common.
-    fn mem_access(rng: &mut SplitMix, n: usize, p: usize) -> Access {
+    /// `ids` banks and `ids` oracle objects.
+    fn mem_access(rng: &mut SplitMix, n: usize, p: usize, ids: usize) -> Access {
         match rng.below(6) {
             0 => Access::Local,
             1 => Access::Write {
-                bank: rng.below(2),
+                bank: rng.below(ids),
                 owner: p,
             },
             2 => Access::Read {
-                bank: rng.below(2),
+                bank: rng.below(ids),
                 owner: rng.below(n),
             },
-            3 => Access::Snapshot { bank: rng.below(2) },
+            3 => Access::Snapshot {
+                bank: rng.below(ids),
+            },
             4 => Access::Oracle {
-                object: rng.below(2),
+                object: rng.below(ids),
             },
             _ => Access::Crash,
         }
@@ -574,11 +790,17 @@ mod tests {
         ordered - reversible_races(g).len()
     }
 
-    /// Records `len` random shared-memory events into `g`.
-    fn push_mem_events(g: &mut ExecutionGraph<MemEvent>, rng: &mut SplitMix, len: usize) {
+    /// Records `len` random shared-memory events over `ids` banks and
+    /// oracle objects into `g`.
+    fn push_mem_events(
+        g: &mut ExecutionGraph<MemEvent>,
+        rng: &mut SplitMix,
+        len: usize,
+        ids: usize,
+    ) {
         for _ in 0..len {
             let p = rng.below(g.n());
-            let access = mem_access(rng, g.n(), p);
+            let access = mem_access(rng, g.n(), p, ids);
             g.push(MemEvent::Step(pid(p)), pid(p), access);
         }
     }
@@ -599,8 +821,10 @@ mod tests {
 
     /// Every seeded graph is built into a graph that already held a
     /// different random run and was then cleared, so stale clocks,
-    /// chains or capacity from an earlier run cannot leak into the
-    /// kernels.
+    /// chains, conflict-index slots or capacity from an earlier run
+    /// cannot leak into the kernels. The earlier runs use more banks and
+    /// oracle objects (0..6) than the measured ones (0..4), so every
+    /// index row the measured run reads held events before the clear.
     #[test]
     fn kernels_match_the_reference_on_random_graphs() {
         let mut rng = SplitMix(0x5EED_D0A5);
@@ -613,9 +837,9 @@ mod tests {
             let earlier = residue.below(49);
             if round % 2 == 0 {
                 let mut g = ExecutionGraph::new(n);
-                push_mem_events(&mut g, &mut residue, earlier);
+                push_mem_events(&mut g, &mut residue, earlier, 6);
                 g.clear();
-                push_mem_events(&mut g, &mut rng, len);
+                push_mem_events(&mut g, &mut rng, len, 4);
                 assert_matches_reference(&g, &label);
                 races += reversible_races(&g).len();
                 mediated += mediated_pairs(&g);
@@ -631,6 +855,47 @@ mod tests {
         }
         assert!(races > 400, "the generator must produce races: {races}");
         assert!(mediated > 400, "and mediated pairs: {mediated}");
+    }
+
+    /// Every footprint over banks, owners and oracle objects 0..4.
+    fn all_footprints() -> Vec<Access> {
+        let mut all = vec![
+            Access::Local,
+            Access::Broadcast,
+            Access::Decide,
+            Access::BroadcastDecide,
+            Access::Crash,
+        ];
+        for id in 0..4 {
+            all.push(Access::Snapshot { bank: id });
+            all.push(Access::Oracle { object: id });
+            for owner in 0..4 {
+                all.push(Access::Write { bank: id, owner });
+                all.push(Access::Read { bank: id, owner });
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn conflict_index_table_reproduces_the_conflict_relation() {
+        let all = all_footprints();
+        let mut conflicting = 0;
+        for &a in &all {
+            for &b in &all {
+                let (a_objects, b_objects) = (a.objects(), b.objects());
+                let joins = a_objects
+                    .joined()
+                    .iter()
+                    .any(|o| b_objects.published().contains(o));
+                assert_eq!(joins, a.conflicts(b), "{a:?} joins {b:?}");
+                conflicting += usize::from(joins);
+            }
+        }
+        assert!(
+            conflicting > 50,
+            "the table must see conflicts: {conflicting}"
+        );
     }
 
     #[test]

@@ -7,9 +7,15 @@
 //! rebuilds exploration around **execution graphs**: a completed run is
 //! a set of events partially ordered by happens-before (program order
 //! plus conflict order, tracked with vector clocks that the graph stores
-//! as one flat `u64` buffer, [`ExecutionGraph::clock`]). Runs with the
-//! same graph form one *Mazurkiewicz trace class* and are outcome-
-//! equivalent, so the explorer visits **one representative per class**:
+//! as one flat `u64` buffer, [`ExecutionGraph::clock`]). Recording an
+//! event costs O(objects·n): a conflict index keeps the latest event of
+//! each process on each conflict object (cell sides, bank snapshots and
+//! writes, oracle objects, semi-synchronous event classes), and the
+//! latest conflicting event of each other process is both what the new
+//! clock joins and the only candidate for a reversible race with it.
+//! Runs with the same graph form one *Mazurkiewicz trace class* and are
+//! outcome-equivalent, so the explorer visits **one representative per
+//! class**:
 //!
 //! 1. A work item is an event-sequence *revisit prefix*. Processing it
 //!    replays the prefix and extends it deterministically (always the
@@ -31,9 +37,12 @@
 //!
 //! Each pool worker keeps one scratch — simulator state, graph, option,
 //! order and race buffers, event lines, key bytes — and reuses it for
-//! every item it processes. An item allocates only what it hands on: a
-//! key the memo did not hold yet, and the event sequence of a fresh
-//! child.
+//! every item it processes. The simulators keep their live sets up to
+//! date as processes decide and crash, so the enabled options of a
+//! replayed state cost O(1) to find. An item allocates only what it hands
+//! on: a key the memo did not hold yet, the event sequence of a fresh
+//! child, and a fresh class's run report, which clones outputs and
+//! process states but none of the simulator's shared memory or inboxes.
 //!
 //! Because the explored set is the closure of a pure `children`
 //! function, every reported number except [`ExploreStats::steals`] and
@@ -207,7 +216,7 @@ where
     }
 
     fn report(&self) -> MemRunReport<P, V> {
-        self.exec.clone().into_report()
+        self.exec.report()
     }
 
     fn event_pid(event: &MemEvent) -> ProcessId {
@@ -306,7 +315,7 @@ where
     }
 
     fn report(&self) -> SemiSyncReport<P> {
-        self.exec.clone().into_report()
+        self.exec.report()
     }
 
     fn event_pid(event: &SemiSyncEvent) -> ProcessId {

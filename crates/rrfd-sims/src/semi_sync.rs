@@ -19,7 +19,6 @@
 //! against random schedules.
 
 use rrfd_core::{Control, IdSet, ProcessId, SystemSize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -228,10 +227,13 @@ pub struct SemiSyncExecution<P: SemiSyncProcess> {
     // are Arc-shared across inboxes, so cloning an execution at an
     // exploration decision point bumps reference counts instead of
     // deep-copying every buffered payload.
-    inboxes: Vec<VecDeque<(ProcessId, Arc<P::Msg>)>>,
+    inboxes: Vec<Vec<(ProcessId, Arc<P::Msg>)>>,
     outputs: Vec<Option<(P::Output, u64)>>,
     step_counts: Vec<u64>,
     crashed: IdSet,
+    // Processes neither decided nor crashed, kept in step with `outputs`
+    // and `crashed`.
+    live: IdSet,
     total_steps: u64,
     events: u64,
     processes: Vec<P>,
@@ -248,6 +250,7 @@ where
             outputs: self.outputs.clone(),
             step_counts: self.step_counts.clone(),
             crashed: self.crashed,
+            live: self.live,
             total_steps: self.total_steps,
             events: self.events,
             processes: self.processes.clone(),
@@ -262,6 +265,7 @@ where
         self.outputs.clone_from(&source.outputs);
         self.step_counts.clone_from(&source.step_counts);
         self.crashed = source.crashed;
+        self.live = source.live;
         self.total_steps = source.total_steps;
         self.events = source.events;
         self.processes.clone_from(&source.processes);
@@ -285,10 +289,11 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
         }
         Ok(SemiSyncExecution {
             sim: sim.clone(),
-            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
+            inboxes: (0..n).map(|_| Vec::new()).collect(),
             outputs: (0..n).map(|_| None).collect(),
             step_counts: vec![0u64; n],
             crashed: IdSet::empty(),
+            live: IdSet::universe(sim.n),
             total_steps: 0,
             events: 0,
             processes,
@@ -296,13 +301,11 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
     }
 
     /// Undecided, non-crashed processes. Empty exactly when the run is
-    /// complete.
+    /// complete. O(1): the set is kept up to date as processes decide and
+    /// crash.
     #[must_use]
     pub fn live(&self) -> IdSet {
-        (0..self.sim.n.get())
-            .map(ProcessId::new)
-            .filter(|&p| !self.crashed.contains(p) && self.outputs[p.index()].is_none())
-            .collect()
+        self.live
     }
 
     /// Atomic steps executed system-wide so far.
@@ -344,10 +347,9 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
             });
         }
         self.events += 1;
-        let live = self.live();
         match event {
             SemiSyncEvent::Crash(p) => {
-                if live.contains(p) {
+                if self.live.remove(p) {
                     self.crashed.insert(p);
                     Ok(SemiEffect::Crashed)
                 } else {
@@ -355,14 +357,16 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
                 }
             }
             SemiSyncEvent::Step(p) => {
-                if !live.contains(p) {
+                if !self.live.contains(p) {
                     return Ok(SemiEffect::Ignored);
                 }
                 self.total_steps += 1;
                 self.step_counts[p.index()] += 1;
-                let received: Vec<(ProcessId, Arc<P::Msg>)> =
-                    self.inboxes[p.index()].drain(..).collect();
-                let (broadcast, verdict) = self.processes[p.index()].step(&received);
+                // The step reads its inbox in place; the inbox is emptied
+                // before this step's own broadcast is appended to it.
+                let inbox = &mut self.inboxes[p.index()];
+                let (broadcast, verdict) = self.processes[p.index()].step(inbox);
+                inbox.clear();
                 let broadcasted = broadcast.is_some();
                 if let Some(broadcast) = broadcast {
                     // Synchronous communication: buffered everywhere at
@@ -370,13 +374,14 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
                     // allocation, n reference counts.
                     let shared = Arc::new(broadcast);
                     for inbox in &mut self.inboxes {
-                        inbox.push_back((p, Arc::clone(&shared)));
+                        inbox.push((p, Arc::clone(&shared)));
                     }
                 }
                 let mut decided = false;
                 if let Control::Decide(v) = verdict {
                     let count = self.step_counts[p.index()];
                     self.outputs[p.index()].get_or_insert((v, count));
+                    self.live.remove(p);
                     decided = true;
                 }
                 Ok(SemiEffect::Stepped {
@@ -396,6 +401,22 @@ impl<P: SemiSyncProcess> SemiSyncExecution<P> {
             crashed: self.crashed,
             total_steps: self.total_steps,
             processes: self.processes,
+        }
+    }
+}
+
+impl<P: SemiSyncProcess + Clone> SemiSyncExecution<P> {
+    /// The run report of the current state, leaving the execution in
+    /// place: clones only what a report holds (outputs with their step
+    /// counts, crashed set, total steps and process states), not the
+    /// inboxes.
+    #[must_use]
+    pub fn report(&self) -> SemiSyncReport<P> {
+        SemiSyncReport {
+            outputs: self.outputs.clone(),
+            crashed: self.crashed,
+            total_steps: self.total_steps,
+            processes: self.processes.clone(),
         }
     }
 }
@@ -483,7 +504,7 @@ mod tests {
 
     /// Broadcasts once; decides on the set of distinct senders seen in its
     /// first `budget` steps.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct Listen {
         budget: u64,
         steps: u64,
@@ -602,5 +623,55 @@ mod tests {
             .run(procs, &mut FairSemiSync::new())
             .unwrap_err();
         assert_eq!(err, SemiSyncError::StepLimitExceeded { max_steps: 100 });
+    }
+
+    /// The live set by definition: undecided and not crashed.
+    fn undecided_and_alive<P: SemiSyncProcess>(exec: &SemiSyncExecution<P>) -> IdSet {
+        (0..exec.sim.n.get())
+            .map(ProcessId::new)
+            .filter(|&p| exec.outputs[p.index()].is_none() && !exec.crashed.contains(p))
+            .collect()
+    }
+
+    #[test]
+    fn liveness_matches_the_definition_on_random_schedules() {
+        use rand::{Rng, SeedableRng};
+        const SIZE: usize = 6;
+        let sim = SemiSyncSim::new(n(SIZE));
+        let start = |seed: u64| {
+            let procs = (0..SIZE as u64)
+                .map(|me| Listen::new(1 + (seed + me) % 4))
+                .collect();
+            SemiSyncExecution::start(&sim, procs).unwrap()
+        };
+        let (mut decided, mut crashed) = (0, 0);
+        for seed in 0..50 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut exec = start(seed);
+            // Reset from `exec` after every event; it starts elsewhere.
+            let mut copy = start(seed + 1);
+            copy.apply(SemiSyncEvent::Crash(ProcessId::new(0))).unwrap();
+            while !exec.live().is_empty() {
+                // Any process, live or not: the others are ignored.
+                let p = ProcessId::new(rng.gen_range(0..SIZE));
+                let event = if rng.gen_bool(0.1) {
+                    SemiSyncEvent::Crash(p)
+                } else {
+                    SemiSyncEvent::Step(p)
+                };
+                exec.apply(event).unwrap();
+                let expected = undecided_and_alive(&exec);
+                assert_eq!(exec.live(), expected, "seed {seed}, {event:?}");
+                copy.clone_from(&exec);
+                assert_eq!(copy.live(), expected, "seed {seed}, clone_from");
+                assert_eq!(undecided_and_alive(&copy), expected);
+            }
+            decided += exec.outputs.iter().flatten().count();
+            crashed += exec.crashed.len();
+        }
+        assert!(
+            decided > 50 && crashed > 50,
+            "{decided} decided, {crashed} crashed"
+        );
     }
 }

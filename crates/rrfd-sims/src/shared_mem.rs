@@ -384,6 +384,9 @@ pub struct MemExecution<P: MemProcess<V>, V> {
     pending: Vec<Observation<V>>,
     outputs: Vec<Option<P::Output>>,
     crashed: IdSet,
+    // Processes neither decided nor crashed, kept in step with `outputs`
+    // and `crashed`.
+    live: IdSet,
     steps: u64,
     // Scheduler events (including crashes and no-op picks) are bounded
     // separately so a scheduler that keeps naming non-runnable processes
@@ -406,6 +409,7 @@ where
             pending: self.pending.clone(),
             outputs: self.outputs.clone(),
             crashed: self.crashed,
+            live: self.live,
             steps: self.steps,
             events: self.events,
             processes: self.processes.clone(),
@@ -421,6 +425,7 @@ where
         self.pending.clone_from(&source.pending);
         self.outputs.clone_from(&source.outputs);
         self.crashed = source.crashed;
+        self.live = source.live;
         self.steps = source.steps;
         self.events = source.events;
         self.processes.clone_from(&source.processes);
@@ -451,6 +456,7 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
             pending: vec![Observation::Start; n],
             outputs: (0..n).map(|_| None).collect(),
             crashed: IdSet::empty(),
+            live: IdSet::universe(sim.n),
             steps: 0,
             events: 0,
             processes,
@@ -458,13 +464,11 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
     }
 
     /// Processes that are neither decided nor crashed. Empty exactly when
-    /// the run is complete.
+    /// the run is complete. O(1): the set is kept up to date as processes
+    /// decide and crash.
     #[must_use]
     pub fn runnable(&self) -> IdSet {
-        (0..self.sim.n.get())
-            .map(ProcessId::new)
-            .filter(|&p| self.outputs[p.index()].is_none() && !self.crashed.contains(p))
-            .collect()
+        self.live
     }
 
     /// Primitive steps executed so far.
@@ -499,10 +503,9 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
             });
         }
         self.events += 1;
-        let live = self.runnable();
         match event {
             MemEvent::Crash(p) => {
-                if live.contains(p) {
+                if self.live.remove(p) {
                     self.crashed.insert(p);
                     Ok(MemEffect::Crashed)
                 } else {
@@ -510,7 +513,7 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
                 }
             }
             MemEvent::Step(p) => {
-                if !live.contains(p) {
+                if !self.live.contains(p) {
                     return Ok(MemEffect::Ignored);
                 }
                 self.steps += 1;
@@ -554,6 +557,7 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
                     }
                     Action::Decide(out) => {
                         self.outputs[idx] = Some(out);
+                        self.live.remove(p);
                         Ok(MemEffect::Decided)
                     }
                 }
@@ -575,6 +579,28 @@ impl<P: MemProcess<V>, V: Clone> MemExecution<P, V> {
             crashed: self.crashed,
             steps: self.steps,
             processes: self.processes,
+            marker: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<P, V> MemExecution<P, V>
+where
+    P: MemProcess<V> + Clone,
+    P::Output: Clone,
+    V: Clone,
+{
+    /// The run report of the current state, leaving the execution in
+    /// place: clones only what a report holds (outputs, crashed set, step
+    /// count and process states), not the cells, pending observations or
+    /// oracles.
+    #[must_use]
+    pub fn report(&self) -> MemRunReport<P, V> {
+        MemRunReport {
+            outputs: self.outputs.clone(),
+            crashed: self.crashed,
+            steps: self.steps,
+            processes: self.processes.clone(),
             marker: std::marker::PhantomData,
         }
     }
@@ -899,5 +925,79 @@ mod tests {
             .run(procs, &mut FairScheduler::new())
             .unwrap_err();
         assert!(matches!(err, MemSimError::WrongProcessCount { .. }));
+    }
+
+    /// Writes `writes` times, then decides its id.
+    #[derive(Debug, Clone)]
+    struct WriteThenDecide {
+        me: u64,
+        writes: u64,
+    }
+
+    impl MemProcess<u64> for WriteThenDecide {
+        type Output = u64;
+        fn step(&mut self, _obs: Observation<u64>) -> Action<u64, u64> {
+            if self.writes == 0 {
+                return Action::Decide(self.me);
+            }
+            self.writes -= 1;
+            Action::Write {
+                bank: 0,
+                value: self.me,
+            }
+        }
+    }
+
+    /// The runnable set by definition: undecided and not crashed.
+    fn undecided_and_alive<P: MemProcess<V>, V: Clone>(exec: &MemExecution<P, V>) -> IdSet {
+        (0..exec.sim.n.get())
+            .map(ProcessId::new)
+            .filter(|&p| exec.outputs[p.index()].is_none() && !exec.crashed.contains(p))
+            .collect()
+    }
+
+    #[test]
+    fn liveness_matches_the_definition_on_random_schedules() {
+        use rand::{Rng, SeedableRng};
+        const SIZE: usize = 6;
+        let sim = SharedMemSim::new(n(SIZE), 1);
+        let start = |seed: u64| {
+            let procs = (0..SIZE as u64)
+                .map(|me| WriteThenDecide {
+                    me,
+                    writes: (seed + me) % 4,
+                })
+                .collect();
+            MemExecution::start(&sim, procs).unwrap()
+        };
+        let (mut decided, mut crashed) = (0, 0);
+        for seed in 0..50 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut exec = start(seed);
+            // Reset from `exec` after every event; it starts elsewhere.
+            let mut copy = start(seed + 1);
+            copy.apply(MemEvent::Crash(ProcessId::new(0))).unwrap();
+            while !exec.runnable().is_empty() {
+                // Any process, runnable or not: the others are ignored.
+                let p = ProcessId::new(rng.gen_range(0..SIZE));
+                let event = if rng.gen_bool(0.1) {
+                    MemEvent::Crash(p)
+                } else {
+                    MemEvent::Step(p)
+                };
+                exec.apply(event).unwrap();
+                let expected = undecided_and_alive(&exec);
+                assert_eq!(exec.runnable(), expected, "seed {seed}, {event:?}");
+                copy.clone_from(&exec);
+                assert_eq!(copy.runnable(), expected, "seed {seed}, clone_from");
+                assert_eq!(undecided_and_alive(&copy), expected);
+            }
+            decided += exec.outputs.iter().flatten().count();
+            crashed += exec.crashed.len();
+        }
+        assert!(
+            decided > 50 && crashed > 50,
+            "{decided} decided, {crashed} crashed"
+        );
     }
 }
